@@ -335,6 +335,29 @@ mod tests {
         }
     }
 
+    /// A job journal written by an earlier build (one completed job,
+    /// one pending) recovers to the same job table.
+    #[test]
+    fn fixture_recovers_to_the_same_jobs() {
+        let fixture = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/serve.jobs");
+        let path = tmp("fixture.jobs");
+        std::fs::copy(&fixture, &path).expect("copy fixture");
+        let (_journal, recovery) = JobJournal::open_or_create(&path, 0x5eed).expect("recover");
+        assert_eq!(recovery.torn_tail_bytes, 0);
+        let jobs: Vec<_> = recovery
+            .jobs
+            .iter()
+            .map(|j| (j.job, j.digest, j.container_hex.as_str(), j.inputs.len(), j.result.clone()))
+            .collect();
+        let report = "{\n  \"package\": \"com.example.fixture\"\n}".to_string();
+        assert_eq!(
+            jobs,
+            vec![(4, 0xabcd, "46444150", 1, Some(Ok(report))), (9, 0x1234, "46444151", 0, None)]
+        );
+        assert_eq!(recovery.jobs[0].inputs["username"], "alice");
+        assert_eq!(std::fs::read(&path).ok(), std::fs::read(&fixture).ok(), "file untouched");
+    }
+
     #[test]
     fn completed_without_submitted_is_a_bad_record() {
         let path = tmp("orphan.jobs");
