@@ -12,9 +12,9 @@
 //! cargo run --release -p fd-bench --bin bench_checkpoint
 //! ```
 
-use fragdroid::{
-    run_suite_checkpointed, run_suite_with_workers, CheckpointOptions, FragDroidConfig, SuiteRun,
-};
+use fragdroid::checkpoint::CheckpointedSuite;
+use fragdroid::suite::SuiteApp;
+use fragdroid::{CheckpointOptions, FragDroidConfig, SuiteOptions, SuiteRun, SuiteSource};
 use serde::Serialize;
 use std::path::PathBuf;
 
@@ -95,26 +95,30 @@ fn overhead_pct(mode: &ModeStats, baseline: &ModeStats) -> f64 {
     }
 }
 
+/// One suite pass, journaled when `checkpoint` is set.
+fn suite_pass(
+    apps: &[SuiteApp],
+    config: &FragDroidConfig,
+    workers: usize,
+    checkpoint: Option<&CheckpointOptions>,
+) -> CheckpointedSuite {
+    let options = SuiteOptions { workers, checkpoint, ..SuiteOptions::default() };
+    fragdroid::suite::run(SuiteSource::Apps(apps), config, &options)
+        .expect("bench journal path is writable")
+        .0
+}
+
 /// One journaled pass to a fresh path; returns the run.
 fn journaled_pass(
-    apps: &[fragdroid::suite::SuiteApp],
+    apps: &[SuiteApp],
     config: &FragDroidConfig,
     workers: usize,
     path: &PathBuf,
     fsync_every: usize,
 ) -> SuiteRun {
     let _ = std::fs::remove_file(path);
-    let opts = CheckpointOptions::new(path.clone()).with_fsync_every(fsync_every);
-    let (suite, _) = run_suite_checkpointed(
-        apps,
-        config,
-        workers,
-        &fd_trace::TraceConfig::off(),
-        Some(&opts),
-        0,
-    )
-    .expect("bench journal path is writable");
-    suite.run
+    let opts = CheckpointOptions { fsync_every, ..CheckpointOptions::new(path.clone()) };
+    suite_pass(apps, config, workers, Some(&opts)).run
 }
 
 fn main() {
@@ -126,11 +130,11 @@ fn main() {
     let journal = dir.join("bench.ckpt");
 
     // Warm-up pass so no measured mode pays first-touch costs.
-    let _ = run_suite_with_workers(&apps, &config, workers);
+    let _ = suite_pass(&apps, &config, workers, None);
 
     let (mut best_plain, mut best_journaled, mut best_each) = (None, None, None);
     for _ in 0..PASSES {
-        keep_best(&mut best_plain, run_suite_with_workers(&apps, &config, workers));
+        keep_best(&mut best_plain, suite_pass(&apps, &config, workers, None).run);
         keep_best(
             &mut best_journaled,
             journaled_pass(
@@ -152,15 +156,7 @@ fn main() {
     let journal_bytes = std::fs::metadata(&journal).map(|m| m.len()).unwrap_or(0);
     let resume_started = std::time::Instant::now();
     let opts = CheckpointOptions::new(journal.clone()).with_resume(true);
-    let (resumed, _) = run_suite_checkpointed(
-        &apps,
-        &config,
-        workers,
-        &fd_trace::TraceConfig::off(),
-        Some(&opts),
-        0,
-    )
-    .expect("complete journal resumes");
+    let resumed = suite_pass(&apps, &config, workers, Some(&opts));
     let resume_wall_ms = resume_started.elapsed().as_millis() as u64;
     assert_eq!(resumed.fresh, 0, "a complete journal leaves no fresh work");
 

@@ -1,6 +1,6 @@
 //! Tracing-overhead baseline: the analyzable corpus through the suite
-//! runner in three modes — the untraced entry point, tracing compiled in
-//! but disabled, and tracing enabled — plus a worker-scaling matrix
+//! runner in three modes — tracing off twice (the baseline and the
+//! budgeted mode, interleaved) and tracing enabled — plus a worker-scaling matrix
 //! (1/2/4/8 workers) and a device-backend overhead section (in-process
 //! vs the wire-protocol subprocess backend), with the comparison written
 //! to `BENCH_suite.json` so regressions in the runner, the tracer, the
@@ -14,10 +14,7 @@
 //! cargo run --release -p fd-bench --bin bench_suite
 //! ```
 
-use fragdroid::{
-    run_container_suite_pooled, run_suite_traced, run_suite_with_workers, DevicePool,
-    FragDroidConfig, SuiteRun,
-};
+use fragdroid::{DevicePool, FragDroidConfig, SuiteOptions, SuiteRun, SuiteSource};
 use serde::Serialize;
 use std::collections::BTreeMap;
 
@@ -109,16 +106,16 @@ struct BenchSuite {
     workers: usize,
     /// Best-of-N passes kept per mode.
     passes: usize,
-    /// The plain `run_suite_with_workers` entry point.
+    /// The suite runner with tracing off: the baseline.
     untraced: ModeStats,
-    /// `run_suite_traced` with `TraceConfig::off()` — the mode every
-    /// ordinary run uses, and the one the <2% acceptance budget governs.
+    /// The same call again, interleaved with the baseline — the mode
+    /// every ordinary run uses, and the one the <2% acceptance budget
+    /// governs.
     disabled: ModeStats,
-    /// `run_suite_traced` with tracing on, recording everything.
+    /// The suite runner with tracing on, recording everything.
     traced: ModeStats,
-    /// `disabled.wall / untraced.wall - 1`, percent. The two share the
-    /// same code path (the untraced entry delegates with a disabled
-    /// tracer), so this measures pure noise plus the budgeted cost.
+    /// `disabled.wall / untraced.wall - 1`, percent. The two are the
+    /// same call, so this measures pure noise plus the budgeted cost.
     disabled_overhead_pct: f64,
     /// `traced.wall / untraced.wall - 1`, percent: the price of actually
     /// recording ~100k records/s. Informational, not budgeted.
@@ -154,6 +151,20 @@ fn mode_stats(run: &SuiteRun) -> ModeStats {
 }
 
 /// Keep `best` (by suite wall time) between rounds of interleaved passes.
+/// One journal-free suite pass.
+fn pass(
+    input: SuiteSource<'_>,
+    config: &FragDroidConfig,
+    workers: usize,
+    trace: fd_trace::TraceConfig,
+    pool: Option<&DevicePool>,
+) -> (SuiteRun, fd_trace::Trace) {
+    let options = SuiteOptions { workers, trace, pool, ..SuiteOptions::default() };
+    let (suite, trace) = fragdroid::suite::run(input, config, &options)
+        .expect("a suite run without a journal has nothing to fail");
+    (suite.run, trace)
+}
+
 fn keep_best<T>(best: &mut Option<(SuiteRun, T)>, candidate: (SuiteRun, T)) {
     match best {
         Some(b) if b.0.metrics.wall_ms <= candidate.0.metrics.wall_ms => {}
@@ -216,20 +227,15 @@ fn bench_backends() -> BackendOverhead {
     let workers = 1;
 
     let warmup = DevicePool::from_config(&config, workers);
-    let _ = run_container_suite_pooled(&slice, &config, workers, &off, &warmup);
+    let containers = SuiteSource::Corpus(&slice);
+    let _ = pass(containers, &config, workers, off, Some(&warmup));
 
     let (mut best_in, mut best_sub) = (None, None);
     for _ in 0..BACKEND_PASSES {
         let in_pool = DevicePool::from_config(&config, workers);
-        keep_best(
-            &mut best_in,
-            (run_container_suite_pooled(&slice, &config, workers, &off, &in_pool).0, ()),
-        );
+        keep_best(&mut best_in, (pass(containers, &config, workers, off, Some(&in_pool)).0, ()));
         let sub_pool = in_memory_subprocess_pool(workers);
-        keep_best(
-            &mut best_sub,
-            (run_container_suite_pooled(&slice, &config, workers, &off, &sub_pool).0, ()),
-        );
+        keep_best(&mut best_sub, (pass(containers, &config, workers, off, Some(&sub_pool)).0, ()));
     }
 
     // Request round-trip quantiles: one app over a dedicated device, so
@@ -268,22 +274,18 @@ fn main() {
     let workers = fragdroid::suite::engine::default_workers(apps.len());
 
     // Warm-up pass so no measured mode pays first-touch costs.
-    let _ = run_suite_with_workers(&apps, &config, workers);
+    let suite = SuiteSource::Apps(&apps);
+    let (off, on) = (fd_trace::TraceConfig::off(), fd_trace::TraceConfig::on());
+    let _ = pass(suite, &config, workers, off, None);
 
     // Interleave the modes round-robin rather than running each mode's
     // passes back to back: machine-load drift then hits every mode
     // equally instead of biasing whichever block ran during a busy spell.
     let (mut best_untraced, mut best_disabled, mut best_traced) = (None, None, None);
     for _ in 0..PASSES {
-        keep_best(&mut best_untraced, (run_suite_with_workers(&apps, &config, workers), ()));
-        keep_best(
-            &mut best_disabled,
-            run_suite_traced(&apps, &config, workers, &fd_trace::TraceConfig::off()),
-        );
-        keep_best(
-            &mut best_traced,
-            run_suite_traced(&apps, &config, workers, &fd_trace::TraceConfig::on()),
-        );
+        keep_best(&mut best_untraced, (pass(suite, &config, workers, off, None).0, ()));
+        keep_best(&mut best_disabled, pass(suite, &config, workers, off, None));
+        keep_best(&mut best_traced, pass(suite, &config, workers, on, None));
     }
     // Scaling matrix: the untraced runner at fixed worker counts,
     // interleaved round-robin for the same noise-spreading reason.
@@ -291,7 +293,7 @@ fn main() {
     let mut best_at: Vec<Option<(SuiteRun, ())>> = matrix_workers.iter().map(|_| None).collect();
     for _ in 0..PASSES {
         for (slot, &n) in best_at.iter_mut().zip(&matrix_workers) {
-            keep_best(slot, (run_suite_with_workers(&apps, &config, n), ()));
+            keep_best(slot, (pass(suite, &config, n, off, None).0, ()));
         }
     }
     let base_wall_ms = best_at[0].as_ref().expect("PASSES > 0").0.metrics.wall_ms;

@@ -16,7 +16,7 @@
 //! wall-time per tool, and APK container pack/decompile throughput.
 
 use fragdroid::suite::SuiteApp;
-use fragdroid::{run_suite_outcomes, FragDroidConfig, SuiteMetrics};
+use fragdroid::{FragDroidConfig, SuiteMetrics, SuiteOptions, SuiteSource};
 
 /// Standard set of template apps used by comparison-style experiments.
 pub fn comparison_apps() -> Vec<fd_appgen::GeneratedApp> {
@@ -56,7 +56,10 @@ pub struct CorpusSummary {
 /// runner and aggregates corpus-wide coverage. An empty corpus returns a
 /// zeroed summary (this used to panic in the chunked harness).
 pub fn run_corpus(apps: &[SuiteApp], config: &FragDroidConfig) -> CorpusSummary {
-    let run = run_suite_outcomes(apps, config);
+    let (suite, _) =
+        fragdroid::suite::run(SuiteSource::Apps(apps), config, &SuiteOptions::default())
+            .expect("a suite run without a journal has nothing to fail");
+    let run = suite.run;
     let mut summary = CorpusSummary { apps: apps.len(), ..CorpusSummary::default() };
     for outcome in &run.outcomes {
         match outcome.report() {

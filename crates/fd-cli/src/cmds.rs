@@ -177,14 +177,15 @@ pub fn run(argv: &[String]) -> Result<(), CliError> {
         let opts =
             checkpoint_path.map(|path| fragdroid::CheckpointOptions::new(path).with_resume(resume));
         let slot = vec![(app.clone(), inputs.clone())];
-        let (suite, suite_trace) = fragdroid::run_suite_checkpointed(
-            &slot,
-            &config,
-            1,
-            &trace_config,
-            opts.as_ref(),
+        let options = fragdroid::SuiteOptions {
+            workers: 1,
+            trace: trace_config,
+            checkpoint: opts.as_ref(),
             flake_retries,
-        )?;
+            pool: None,
+        };
+        let (suite, suite_trace) =
+            fragdroid::suite::run(fragdroid::SuiteSource::Apps(&slot), &config, &options)?;
         if let Some(flakes) = &suite.run.metrics.flake_summary {
             if !flakes.apps.is_empty() {
                 eprintln!(
@@ -494,65 +495,41 @@ pub fn corpus(argv: &[String]) -> Result<(), CliError> {
         return Ok(());
     }
 
-    let (run, trace, progress) = if let Some(index) = shard_index {
-        let mut opts = fragdroid::CheckpointOptions::new(
-            checkpoint_path.expect("checked with --shards above"),
-        )
-        .with_resume(resume);
+    // Shard mode runs the shard's slice against its own journal; a
+    // journal failure there is a shard error (exit 4), not exit 3.
+    let slice;
+    let (input, journal_path): (&dyn fragdroid::CorpusSource, _) = match shard_index {
+        Some(index) => {
+            slice = fragdroid::ShardSlice::new(source, shards, index)?;
+            let base = checkpoint_path.expect("checked with --shards above");
+            (&slice, Some(fragdroid::shard_journal_path(std::path::Path::new(base), index, shards)))
+        }
+        None => (source, checkpoint_path.map(std::path::PathBuf::from)),
+    };
+    let opts = journal_path.map(|path| {
+        let mut opts = fragdroid::CheckpointOptions::new(path).with_resume(resume);
         if app_budget > 0 {
             opts = opts.with_app_budget(app_budget);
         }
-        let (suite, trace) = fragdroid::run_shard(
-            source,
-            &config,
-            workers,
-            &trace_config,
-            &opts,
-            flake_retries,
-            shards,
-            index,
-            pool.as_ref(),
-        )?;
-        let progress = Some((suite.resumed, suite.fresh, suite.remaining(), suite.torn_tail_bytes));
-        (suite.run, trace, progress)
-    } else if checkpoint_path.is_some() || flake_retries > 0 {
-        let opts = checkpoint_path.map(|path| {
-            let mut opts = fragdroid::CheckpointOptions::new(path).with_resume(resume);
-            if app_budget > 0 {
-                opts = opts.with_app_budget(app_budget);
-            }
-            opts
-        });
-        let (suite, trace) = match &pool {
-            Some(pool) => fragdroid::run_corpus_suite_checkpointed_pooled(
-                source,
-                &config,
-                workers,
-                &trace_config,
-                opts.as_ref(),
-                flake_retries,
-                pool,
-            )?,
-            None => fragdroid::run_corpus_suite_checkpointed(
-                source,
-                &config,
-                workers,
-                &trace_config,
-                opts.as_ref(),
-                flake_retries,
-            )?,
-        };
-        let progress = Some((suite.resumed, suite.fresh, suite.remaining(), suite.torn_tail_bytes));
-        (suite.run, trace, progress)
-    } else {
-        let (run, trace) = match &pool {
-            Some(pool) => {
-                fragdroid::run_corpus_suite_pooled(source, &config, workers, &trace_config, pool)
-            }
-            None => fragdroid::run_corpus_suite_traced(source, &config, workers, &trace_config),
-        };
-        (run, trace, None)
+        opts
+    });
+    let options = fragdroid::SuiteOptions {
+        workers,
+        trace: trace_config,
+        pool: pool.as_ref(),
+        checkpoint: opts.as_ref(),
+        flake_retries,
     };
+    let (suite, trace) =
+        fragdroid::suite::run(fragdroid::SuiteSource::Corpus(input), &config, &options).map_err(
+            |error| match shard_index {
+                Some(shard) => CliError::from(fragdroid::ShardError::Journal { shard, error }),
+                None => CliError::from(error),
+            },
+        )?;
+    let progress = (opts.is_some() || flake_retries > 0)
+        .then(|| (suite.resumed, suite.fresh, suite.remaining(), suite.torn_tail_bytes));
+    let run = suite.run;
     if let Some(out) = trace_out {
         write_trace(out, &trace)?;
     }

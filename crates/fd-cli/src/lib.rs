@@ -256,7 +256,7 @@ USAGE:
                                           stdin/stdout (spawned by the subprocess
                                           backend; not for interactive use)
   fragdroid fuzz [--seed N] [--mutants N]
-                [--target container|smali|json|protocol|corpus|serve|dispatch]
+                [--target container|smali|json|protocol|corpus|serve|journal]
                 [--out DIR] [--trace-out T.jsonl] [--json]
                                           deterministic ingestion-frontier fuzz campaign
   fragdroid trace <trace.jsonl> [--json]  per-phase/per-app profile of a trace

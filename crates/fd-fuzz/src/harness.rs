@@ -40,11 +40,12 @@ pub enum Target {
     /// frame decoder, with the whole-buffer ≡ byte-at-a-time
     /// differential invariant.
     Serve,
-    /// Byte-level mutants of dispatch coordinator journals →
-    /// [`fragdroid::parse_dispatch_journal`] (the lease/completion log
-    /// `fragdroid dispatch --resume` trusts), with the whole-buffer ≡
-    /// byte-at-a-time line-scan differential invariant.
-    Dispatch,
+    /// Byte-level mutants of the three crash-safe journals (checkpoint,
+    /// serve job, dispatch coordinator) → [`fragdroid::JournalKind::replay`]
+    /// as every kind (the shared scanner plus each kind's fold, which
+    /// every `--resume` and serve restart trusts), with the whole-buffer
+    /// ≡ byte-at-a-time scan differential invariant.
+    Journal,
 }
 
 impl Target {
@@ -56,7 +57,7 @@ impl Target {
         Target::Protocol,
         Target::Corpus,
         Target::Serve,
-        Target::Dispatch,
+        Target::Journal,
     ];
 
     /// Stable lowercase name (CLI `--target` values, report keys).
@@ -68,7 +69,7 @@ impl Target {
             Target::Protocol => "protocol",
             Target::Corpus => "corpus",
             Target::Serve => "serve",
-            Target::Dispatch => "dispatch",
+            Target::Journal => "journal",
         }
     }
 
@@ -208,9 +209,9 @@ struct SeedCorpus {
     /// container plus one stream of every reply shape (the serve target
     /// fuzzes both directions of the job-service wire).
     serve: Vec<Vec<u8>>,
-    /// Encoded dispatch coordinator journals, covering single- and
-    /// multi-shard farms with and without revocation histories.
-    dispatch: Vec<Vec<u8>>,
+    /// Encoded journals of every kind, each small, single-record and
+    /// wide (dispatch: with revocation histories every third shard).
+    journals: Vec<Vec<u8>>,
 }
 
 /// Encodes a representative agent session over `container` as one wire
@@ -295,7 +296,7 @@ impl SeedCorpus {
             protocol: Vec::new(),
             shards: Vec::new(),
             serve: Vec::new(),
-            dispatch: Vec::new(),
+            journals: Vec::new(),
         };
         let mut shard_entries = Vec::new();
         for gen in gens {
@@ -326,10 +327,10 @@ impl SeedCorpus {
         }
         corpus.shards.push(fd_apk::corpus::encode_shard(&shard_entries));
         corpus.serve.push(seed_serve_response_stream());
-        // One shard per endpoint, a single-shard farm, and a wide farm
-        // with revocation/quarantine histories every third shard.
-        for (seed, shards) in [(1, 4), (2, 1), (3, 8)] {
-            corpus.dispatch.push(fragdroid::demo_dispatch_journal(seed, shards));
+        for kind in fragdroid::JournalKind::ALL {
+            for (seed, records) in [(1, 4), (2, 1), (3, 8)] {
+                corpus.journals.push(kind.demo(seed, records));
+            }
         }
         assert!(
             !corpus.containers.is_empty()
@@ -338,7 +339,7 @@ impl SeedCorpus {
                 && !corpus.protocol.is_empty()
                 && !corpus.shards.is_empty()
                 && !corpus.serve.is_empty()
-                && !corpus.dispatch.is_empty(),
+                && !corpus.journals.is_empty(),
             "seed corpus covers every target"
         );
         corpus
@@ -429,39 +430,24 @@ fn decode_serve_incrementally(input: &[u8]) -> Result<usize, String> {
     Ok(decoded)
 }
 
-/// Whole-buffer scan of a dispatch coordinator journal: every
-/// newline-terminated line must decode as a checksummed record; an
-/// unterminated tail is a torn write, tolerated by counting its bytes.
-/// Returns `(decoded lines, torn bytes)` or the first typed error.
-fn scan_dispatch_lines(input: &[u8]) -> Result<(usize, usize), String> {
-    let mut decoded = 0usize;
-    let mut offset = 0usize;
-    while offset < input.len() {
-        let Some(newline) = input[offset..].iter().position(|&b| b == b'\n') else {
-            return Ok((decoded, input.len() - offset));
-        };
-        fragdroid::decode_dispatch_line(&input[offset..offset + newline])?;
-        decoded += 1;
-        offset += newline + 1;
-    }
-    Ok((decoded, 0))
-}
-
-/// Feeds the journal one byte at a time, decoding each line as its
-/// newline arrives — the differential twin of [`scan_dispatch_lines`].
-fn scan_dispatch_lines_incrementally(input: &[u8]) -> Result<(usize, usize), String> {
-    let mut decoded = 0usize;
-    let mut line: Vec<u8> = Vec::new();
-    for &byte in input {
-        if byte == b'\n' {
-            fragdroid::decode_dispatch_line(&line)?;
-            decoded += 1;
-            line.clear();
-        } else {
-            line.push(byte);
+/// Replays `input` as every journal kind, whole-buffer and one byte at
+/// a time: the two must agree per kind (differential invariant). Ok
+/// when any kind accepts it, else every kind's typed rejection.
+fn replay_journal(input: &[u8]) -> Result<(), String> {
+    let mut rejections = Vec::new();
+    for kind in fragdroid::JournalKind::ALL {
+        let whole = kind.replay(input, 0);
+        let incremental = kind.replay(input, 1);
+        assert_eq!(
+            whole, incremental,
+            "byte-at-a-time {kind:?} journal scanning diverged from whole-buffer scanning"
+        );
+        match whole {
+            Ok(_) => return Ok(()),
+            Err(e) => rejections.push(format!("{kind:?}: {e}")),
         }
     }
-    Ok((decoded, line.len()))
+    Err(rejections.join("; "))
 }
 
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -521,22 +507,7 @@ fn execute(target: Target, input: &[u8]) -> CaseOutcome {
             );
             whole.map(|_| ())
         }
-        Target::Dispatch => {
-            let whole = scan_dispatch_lines(input);
-            // Differential invariant: the line scanner fed one byte at
-            // a time must agree with the whole-buffer scan.
-            let incremental = scan_dispatch_lines_incrementally(input);
-            assert_eq!(
-                whole, incremental,
-                "incremental dispatch-journal scanning diverged from whole-buffer scanning"
-            );
-            // The semantic layer on top of the line codec: the full
-            // parse must accept or reject with a typed JournalError.
-            match fragdroid::parse_dispatch_journal(input) {
-                Ok(_) => Ok(()),
-                Err(e) => Err(e.to_string()),
-            }
-        }
+        Target::Journal => replay_journal(input),
         Target::Corpus => match fd_apk::corpus::parse_shard(input) {
             Ok(view) => {
                 // A mutant whose index still validates must also let
@@ -598,8 +569,8 @@ fn generate(corpus: &SeedCorpus, target: Target, rng: &mut StdRng) -> Vec<u8> {
             let base = &corpus.serve[rng.gen_range(0..corpus.serve.len())];
             mutate::mutate_bytes(base, rng)
         }
-        Target::Dispatch => {
-            let base = &corpus.dispatch[rng.gen_range(0..corpus.dispatch.len())];
+        Target::Journal => {
+            let base = &corpus.journals[rng.gen_range(0..corpus.journals.len())];
             mutate::mutate_bytes(base, rng)
         }
     }
@@ -757,9 +728,8 @@ mod tests {
         // One serve request session per container plus the
         // all-reply-shapes response stream.
         assert_eq!(corpus.serve.len(), 4);
-        // Three coordinator-journal shapes: per-endpoint, single-shard,
-        // and a wide farm with revocations.
-        assert_eq!(corpus.dispatch.len(), 3);
+        // Three shapes (small, single-record, wide) of each journal kind.
+        assert_eq!(corpus.journals.len(), 9);
     }
 
     #[test]
@@ -814,8 +784,8 @@ mod tests {
         for stream in &corpus.serve {
             assert!(matches!(execute(Target::Serve, stream), CaseOutcome::Ok));
         }
-        for journal in &corpus.dispatch {
-            assert!(matches!(execute(Target::Dispatch, journal), CaseOutcome::Ok));
+        for journal in &corpus.journals {
+            assert!(matches!(execute(Target::Journal, journal), CaseOutcome::Ok));
         }
     }
 
@@ -879,43 +849,47 @@ mod tests {
         assert!(matches!(execute(Target::Serve, &alien), CaseOutcome::Rejected(_)));
     }
 
+    /// Every journal kind, not just dispatch: truncation and corruption
+    /// are typed, and a duplicated record claim is a rejection.
     #[test]
     fn truncated_and_corrupted_dispatch_journals_are_typed_not_panics() {
-        let corpus = SeedCorpus::build();
-        let journal = corpus.dispatch.last().expect("dispatch seed present");
-        // Truncation at every offset either recovers (the cut lands in
-        // the torn tail) or rejects typed — never panics, and the
-        // whole-buffer scan always agrees with the byte-at-a-time scan.
-        for len in 0..journal.len() {
-            match execute(Target::Dispatch, &journal[..len]) {
-                CaseOutcome::Ok | CaseOutcome::Rejected(_) => {}
-                CaseOutcome::Panicked(message) => {
-                    panic!("truncation to {len} bytes panicked: {message}")
+        for (kind, duplicable) in [
+            (fragdroid::JournalKind::Checkpoint, "Outcome"),
+            (fragdroid::JournalKind::Serve, "Submitted"),
+            (fragdroid::JournalKind::Dispatch, "ShardDone"),
+        ] {
+            let journal = kind.demo(3, 8);
+            // Truncation at every offset either recovers (the cut lands
+            // in the torn tail) or rejects typed — never panics, and the
+            // whole-buffer scan always agrees with the byte-at-a-time one.
+            for len in 0..journal.len() {
+                match execute(Target::Journal, &journal[..len]) {
+                    CaseOutcome::Ok | CaseOutcome::Rejected(_) => {}
+                    CaseOutcome::Panicked(message) => {
+                        panic!("{kind:?} truncation to {len} bytes panicked: {message}")
+                    }
                 }
             }
-        }
-        // Corrupting any single byte is typed too.
-        for offset in [0, 1, journal.len() / 2, journal.len() - 2] {
-            let mut corrupt = journal.clone();
-            corrupt[offset] ^= 0x41;
-            match execute(Target::Dispatch, &corrupt) {
-                CaseOutcome::Ok | CaseOutcome::Rejected(_) => {}
-                CaseOutcome::Panicked(message) => {
-                    panic!("corruption at {offset} panicked: {message}")
+            // Corrupting any single byte is typed too.
+            for offset in [0, 1, journal.len() / 2, journal.len() - 2] {
+                let mut corrupt = journal.clone();
+                corrupt[offset] ^= 0x41;
+                match execute(Target::Journal, &corrupt) {
+                    CaseOutcome::Ok | CaseOutcome::Rejected(_) => {}
+                    CaseOutcome::Panicked(message) => {
+                        panic!("{kind:?} corruption at {offset} panicked: {message}")
+                    }
                 }
             }
+            // A duplicated claim is a typed rejection, not Ok.
+            let text = String::from_utf8(journal.clone()).expect("journal is line text");
+            let claim = text.lines().find(|l| l.contains(duplicable)).expect("demo records claims");
+            let duplicated = format!("{text}{claim}\n");
+            assert!(
+                matches!(execute(Target::Journal, duplicated.as_bytes()), CaseOutcome::Rejected(_)),
+                "{kind:?} duplicate {duplicable} accepted"
+            );
         }
-        // A duplicated completion claim is a typed rejection, not Ok.
-        let text = String::from_utf8(journal.clone()).expect("journal is line text");
-        let done = text
-            .lines()
-            .find(|l| l.contains("ShardDone"))
-            .expect("demo journal records completions");
-        let duplicated = format!("{text}{done}\n");
-        assert!(matches!(
-            execute(Target::Dispatch, duplicated.as_bytes()),
-            CaseOutcome::Rejected(_)
-        ));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! The decode/parse pipeline (`fd-apk` containers, `fd-smali` text, the
 //! JSON sections, the device-agent wire protocol, the FDCS corpus-shard
 //! index the lazy corpus reader trusts, the serve frame streams, and
-//! the dispatch coordinator journal `--resume` replays) promises *Ok or
+//! the checkpoint, serve and dispatch journals every resume replays) promises *Ok or
 //! a typed Err — never a panic*. This crate is the harness that holds it to that
 //! promise:
 //!

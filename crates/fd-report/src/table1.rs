@@ -5,8 +5,8 @@ use crate::table;
 use fd_appgen::paper_apps;
 use fragdroid::suite::SuiteContainer;
 use fragdroid::{
-    run_container_suite_checkpointed, AppOutcome, Coverage, FlakeClass, FlakeSummary,
-    FragDroidConfig, RunReport,
+    AppOutcome, Coverage, FlakeClass, FlakeSummary, FragDroidConfig, RunReport, SuiteOptions,
+    SuiteSource,
 };
 use serde::{Deserialize, Serialize};
 
@@ -90,15 +90,8 @@ pub fn run_table1_with_retries(flake_retries: usize) -> Table1Run {
     let suite: Vec<SuiteContainer> =
         apps.iter().map(|(_, gen)| (fd_apk::pack(&gen.app), gen.known_inputs.clone())).collect();
     let config = FragDroidConfig::default();
-    let workers = fragdroid::suite::engine::default_workers(suite.len());
-    let run = match run_container_suite_checkpointed(
-        &suite,
-        &config,
-        workers,
-        &fd_trace::TraceConfig::off(),
-        None,
-        flake_retries,
-    ) {
+    let options = SuiteOptions { flake_retries, ..SuiteOptions::default() };
+    let run = match fragdroid::suite::run(SuiteSource::Corpus(&suite), &config, &options) {
         Ok((suite, _)) => suite.run,
         // Without a journal there is no I/O to fail; this arm guards a
         // future where Table 1 runs journaled.

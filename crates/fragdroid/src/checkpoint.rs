@@ -7,18 +7,15 @@
 //! corpus to one dead process. This module gives the work-stealing suite
 //! runner ([`crate::suite`]) durable progress:
 //!
-//! * **Journal** — an append-only JSON-Lines file. The first line is a
-//!   header carrying a [`Fingerprint`] of the invocation (corpus digest,
-//!   configuration digest, app count, flake-retry budget), written
-//!   atomically via tmp-file + rename + fsync so the journal either does
-//!   not exist or starts with a complete, durable header. Every
-//!   completed app appends one [`AppOutcome`] record. Each line is
-//!   prefixed with its FNV-1a checksum, and appends are fsync'd in
-//!   batches ([`CheckpointOptions::fsync_every`]).
-//! * **Resume** — [`load_journal`] replays the file, verifies every
-//!   checksum, detects a *torn tail* (a partial last line from a
-//!   mid-write kill) and drops it, and refuses journals whose
-//!   fingerprint does not match the current invocation. The runner then
+//! * **Journal** — a [`crate::journal`] (checksummed lines, atomic
+//!   create, torn-tail policy, group commit) whose header carries a
+//!   [`Fingerprint`] of the invocation (corpus digest, configuration
+//!   digest, app count, flake-retry budget). Every completed app appends
+//!   one [`AppOutcome`] record; appends are fsync'd in batches
+//!   ([`CheckpointOptions::fsync_every`]).
+//! * **Resume** — [`load_journal`] replays the file, drops a torn tail,
+//!   and refuses journals whose fingerprint does not match the current
+//!   invocation. The runner ([`crate::suite::run`]) then
 //!   skips every journaled app; restored slots reproduce their recorded
 //!   reports byte-for-byte, so a resumed run's final report is identical
 //!   to an uninterrupted one (property-tested in
@@ -36,18 +33,12 @@
 //! panic.
 
 use crate::config::FragDroidConfig;
-use crate::suite::{
-    assemble_metrics, engine, slot_metrics, slot_outcome, AppMetrics, AppOutcome, SuiteApp,
-    SuiteContainer, SuiteRun, SuiteSource,
-};
+use crate::journal::{encode_line, scan, Journal, Opened, Record, Scan};
+use crate::suite::{slot_metrics, AppMetrics, AppOutcome, SuiteRun, SuiteSource};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::fs::{File, OpenOptions};
-use std::io::{Seek, SeekFrom, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
-use std::time::{Duration, Instant};
 
 /// Journal format version, stamped into every header; bumped whenever a
 /// record shape changes incompatibly.
@@ -186,7 +177,7 @@ impl std::fmt::Display for JournalError {
 impl std::error::Error for JournalError {}
 
 impl JournalError {
-    fn io(path: &Path, op: &'static str, error: std::io::Error) -> Self {
+    pub(crate) fn io(path: &Path, op: &'static str, error: std::io::Error) -> Self {
         JournalError::Io { path: path.display().to_string(), op, error: error.to_string() }
     }
 }
@@ -359,7 +350,7 @@ pub(crate) fn triage_with(
 /// the same seed), so a simulated-deterministic failure reproduces.
 /// Re-runs lease from `pool` lane 0 — triage is sequential and happens
 /// after the engine drained, so the lane is free.
-fn retry_passes(
+pub(crate) fn retry_passes(
     source: &SuiteSource<'_>,
     index: usize,
     config: &FragDroidConfig,
@@ -375,11 +366,11 @@ fn retry_passes(
 }
 
 // ---------------------------------------------------------------------------
-// Journal records and line codec
+// Journal records
 
 /// One journal line's payload.
 #[derive(Clone, Debug, Serialize, Deserialize)]
-enum JournalRecord {
+pub(crate) enum JournalRecord {
     /// The first line: what this journal is for.
     Header(JournalHeader),
     /// One completed app. Boxed: this variant dwarfs the other two.
@@ -390,7 +381,7 @@ enum JournalRecord {
 
 /// The journal's first record.
 #[derive(Clone, Debug, Serialize, Deserialize)]
-struct JournalHeader {
+pub(crate) struct JournalHeader {
     /// Format version ([`JOURNAL_VERSION`]).
     version: u64,
     /// The invocation fingerprint.
@@ -400,7 +391,7 @@ struct JournalHeader {
 /// One completed app's durable state: enough to restore its suite slot
 /// byte-identically.
 #[derive(Clone, Debug, Serialize, Deserialize)]
-struct OutcomeRecord {
+pub(crate) struct OutcomeRecord {
     /// The app's input-order index.
     index: usize,
     /// The slot's observability record (wall time preserved from the
@@ -415,13 +406,13 @@ struct OutcomeRecord {
 /// metrics into an owned record first. The hot append path uses this;
 /// [`tests::journal_records_stream_identical_to_tree_render`] pins the
 /// two encodings byte-identical.
-struct OutcomeRef<'a> {
+pub(crate) struct OutcomeRef<'a> {
     /// The app's input-order index.
-    index: usize,
+    pub index: usize,
     /// Borrowed slot metrics.
-    metrics: &'a AppMetrics,
+    pub metrics: &'a AppMetrics,
     /// Borrowed outcome.
-    outcome: &'a AppOutcome,
+    pub outcome: &'a AppOutcome,
 }
 
 impl serde::Serialize for OutcomeRef<'_> {
@@ -448,65 +439,13 @@ impl serde::Serialize for OutcomeRef<'_> {
     }
 }
 
-/// Encodes one record as `"<fnv16hex> <json>\n"`, appended to `out`.
-/// The checksum covers the JSON payload bytes, so any torn or corrupted
-/// byte is detectable. `json` is a caller-owned scratch buffer: the
-/// record streams into it (no `Value` tree, no per-record `String`), the
-/// checksum is taken over it, and both buffers keep their capacity for
-/// the next record. Shared with the serve job journal
-/// ([`crate::serve`]), which speaks the same line format over its own
-/// record type.
-pub(crate) fn encode_line_into<T: serde::Serialize>(
-    record: &T,
-    json: &mut String,
-    out: &mut String,
-) {
-    use std::fmt::Write as _;
-    json.clear();
-    serde::Serialize::write_json(record, json);
-    let _ = write!(out, "{:016x} ", fnv1a(FNV_OFFSET, json.as_bytes()));
-    out.push_str(json);
-    out.push('\n');
-}
-
-/// One-shot form of [`encode_line_into`] for cold paths (header line,
-/// tests).
-fn encode_line(record: &JournalRecord) -> String {
-    let mut json = String::new();
-    let mut out = String::new();
-    encode_line_into(record, &mut json, &mut out);
-    out
-}
-
-pub(crate) enum LineError {
-    /// The checksum prefix does not match the payload.
-    Checksum,
-    /// The line shape or JSON payload is invalid.
-    Malformed(String),
-}
-
-/// Decodes one newline-stripped journal line into any record type that
-/// shares the `"<fnv16hex> <json>\n"` framing.
-pub(crate) fn decode_line<T: serde::Deserialize>(line: &[u8]) -> Result<T, LineError> {
-    if line.len() < 18 || line[16] != b' ' {
-        return Err(LineError::Malformed("line shorter than checksum prefix".into()));
+impl Record for JournalRecord {
+    fn header_version(&self) -> Option<u64> {
+        match self {
+            JournalRecord::Header(header) => Some(header.version),
+            JournalRecord::Outcome(_) | JournalRecord::Flakes(_) => None,
+        }
     }
-    let hex = std::str::from_utf8(&line[..16])
-        .map_err(|_| LineError::Malformed("non-UTF-8 checksum".into()))?;
-    // The writer emits exactly lowercase hex; accepting any other form
-    // would let a flipped bit in the checksum field itself go unnoticed.
-    if hex.bytes().any(|b| !matches!(b, b'0'..=b'9' | b'a'..=b'f')) {
-        return Err(LineError::Malformed(format!("non-canonical checksum field '{hex}'")));
-    }
-    let expected = u64::from_str_radix(hex, 16)
-        .map_err(|_| LineError::Malformed(format!("bad checksum field '{hex}'")))?;
-    let payload = &line[17..];
-    if fnv1a(FNV_OFFSET, payload) != expected {
-        return Err(LineError::Checksum);
-    }
-    let json = std::str::from_utf8(payload)
-        .map_err(|_| LineError::Malformed("non-UTF-8 payload".into()))?;
-    serde_json::from_str(json).map_err(|e| LineError::Malformed(e.to_string()))
 }
 
 // ---------------------------------------------------------------------------
@@ -534,63 +473,21 @@ pub struct LoadedJournal {
 /// never a panic and never a silent wrong resume.
 pub fn load_journal(path: &Path) -> Result<LoadedJournal, JournalError> {
     let data = std::fs::read(path).map_err(|e| JournalError::io(path, "read", e))?;
+    fold(scan(&data, JOURNAL_VERSION)?)
+}
 
-    let mut offset = 0usize;
-    let mut line_no = 0usize;
-    let mut torn_tail_bytes = 0u64;
-    let mut records: Vec<(usize, JournalRecord)> = Vec::new();
-    while offset < data.len() {
-        line_no += 1;
-        let Some(newline) = data[offset..].iter().position(|&b| b == b'\n') else {
-            // No terminator: the writer died mid-append. Drop the tail.
-            torn_tail_bytes = (data.len() - offset) as u64;
-            break;
-        };
-        let line = &data[offset..offset + newline];
-        let line_end = offset + newline + 1;
-        match decode_line(line) {
-            Ok(record) => {
-                records.push((line_no, record));
-                offset = line_end;
-            }
-            Err(LineError::Checksum) => {
-                return Err(JournalError::ChecksumMismatch { line: line_no })
-            }
-            Err(LineError::Malformed(error)) => {
-                return Err(JournalError::BadRecord { line: line_no, error })
-            }
-        }
-    }
-    let valid_len = offset as u64;
-
-    let mut iter = records.into_iter();
-    let fingerprint = match iter.next() {
-        Some((_, JournalRecord::Header(header))) => {
-            if header.version != JOURNAL_VERSION {
-                return Err(JournalError::VersionMismatch { found: header.version });
-            }
-            header.fingerprint
-        }
-        Some((_, _)) => return Err(JournalError::MissingHeader),
-        None if torn_tail_bytes > 0 => {
-            // Bytes exist but not one complete record: the header itself
-            // is torn, so nothing about the file can be trusted.
-            return Err(JournalError::TornTail { bytes: torn_tail_bytes });
-        }
-        None => return Err(JournalError::MissingHeader),
+/// Folds a scanned journal into its slots and flake verdicts.
+pub(crate) fn fold(scan: Scan<JournalRecord>) -> Result<LoadedJournal, JournalError> {
+    let JournalRecord::Header(header) = scan.header else {
+        return Err(JournalError::MissingHeader);
     };
-
-    let total = fingerprint.apps as usize;
+    let total = header.fingerprint.apps as usize;
     let mut slots = BTreeMap::new();
     let mut flakes = None;
-    for (line, record) in iter {
+    for (_, record) in scan.records {
         match record {
-            JournalRecord::Header(_) => {
-                return Err(JournalError::BadRecord {
-                    line,
-                    error: "second header record".to_string(),
-                })
-            }
+            // The scanner refuses a second header.
+            JournalRecord::Header(_) => {}
             JournalRecord::Outcome(record) => {
                 if record.index >= total {
                     return Err(JournalError::IndexOutOfRange { index: record.index, total });
@@ -602,146 +499,23 @@ pub fn load_journal(path: &Path) -> Result<LoadedJournal, JournalError> {
             JournalRecord::Flakes(summary) => flakes = Some(summary),
         }
     }
-
-    Ok(LoadedJournal { fingerprint, slots, flakes, valid_len, torn_tail_bytes })
+    Ok(LoadedJournal {
+        fingerprint: header.fingerprint,
+        slots,
+        flakes,
+        valid_len: scan.valid_len,
+        torn_tail_bytes: scan.torn_tail_bytes,
+    })
 }
 
 // ---------------------------------------------------------------------------
 // Writing
 
-/// The append side of the journal, with group commit: appended records
-/// are encoded into a reusable buffer and hit the file as one
-/// `write_all` + one `sync_data` when the batch fills (or at `sync`).
-/// Durability is unchanged from the write-per-append scheme — a record
-/// was never guaranteed before its batch's fsync either — but the
-/// per-record cost drops to an in-memory encode.
-pub(crate) struct JournalWriter {
-    file: File,
-    path: PathBuf,
-    /// Encoded-but-unwritten lines; flushed as one write.
-    buf: String,
-    /// Reusable per-record JSON scratch (see [`encode_line_into`]).
-    json: String,
-    /// Records in `buf`.
-    pending: usize,
-    fsync_every: usize,
-}
-
-impl JournalWriter {
-    /// Creates a fresh journal: the header line is written to
-    /// `<path>.tmp`, fsync'd, and renamed into place, so a crash at any
-    /// point leaves either no journal or one with a complete header.
-    fn create(
-        path: &Path,
-        fingerprint: Fingerprint,
-        fsync_every: usize,
-    ) -> Result<Self, JournalError> {
-        let header = encode_line(&JournalRecord::Header(JournalHeader {
-            version: JOURNAL_VERSION,
-            fingerprint,
-        }));
-        JournalWriter::create_raw(path, &header, fsync_every)
-    }
-
-    /// [`Self::create`] over an already-encoded header line, so other
-    /// journals sharing the line codec (the dispatch coordinator's, with
-    /// its own header record) get the same atomic-create semantics.
-    pub(crate) fn create_raw(
-        path: &Path,
-        header: &str,
-        fsync_every: usize,
-    ) -> Result<Self, JournalError> {
-        let tmp = PathBuf::from(format!("{}.tmp", path.display()));
-        {
-            let mut file = File::create(&tmp).map_err(|e| JournalError::io(&tmp, "create", e))?;
-            file.write_all(header.as_bytes())
-                .map_err(|e| JournalError::io(&tmp, "write header", e))?;
-            file.sync_all().map_err(|e| JournalError::io(&tmp, "fsync header", e))?;
-        }
-        std::fs::rename(&tmp, path).map_err(|e| JournalError::io(path, "rename into place", e))?;
-        // Make the rename itself durable where the platform allows
-        // directory fsync. A failure is surfaced, not swallowed: until
-        // the directory entry is on stable storage a crash can lose the
-        // just-renamed header, and a journal whose durability the caller
-        // cannot trust is worse than an error.
-        if let Some(parent) = path.parent() {
-            let dir_path = if parent.as_os_str().is_empty() { Path::new(".") } else { parent };
-            let dir = File::open(dir_path)
-                .map_err(|e| JournalError::io(dir_path, "open directory", e))?;
-            dir.sync_all().map_err(|e| JournalError::io(dir_path, "fsync directory", e))?;
-        }
-        let file = OpenOptions::new()
-            .append(true)
-            .open(path)
-            .map_err(|e| JournalError::io(path, "open for append", e))?;
-        Ok(JournalWriter::over(file, path, fsync_every))
-    }
-
-    /// Reopens an existing journal for appending, first truncating away
-    /// the torn tail past `valid_len`.
-    pub(crate) fn resume(
-        path: &Path,
-        valid_len: u64,
-        fsync_every: usize,
-    ) -> Result<Self, JournalError> {
-        let mut file = OpenOptions::new()
-            .write(true)
-            .open(path)
-            .map_err(|e| JournalError::io(path, "open for append", e))?;
-        file.set_len(valid_len).map_err(|e| JournalError::io(path, "truncate torn tail", e))?;
-        file.seek(SeekFrom::End(0)).map_err(|e| JournalError::io(path, "seek to end", e))?;
-        Ok(JournalWriter::over(file, path, fsync_every))
-    }
-
-    /// A writer over an already-positioned file.
-    fn over(file: File, path: &Path, fsync_every: usize) -> Self {
-        JournalWriter {
-            file,
-            path: path.to_path_buf(),
-            buf: String::new(),
-            json: String::new(),
-            pending: 0,
-            fsync_every,
-        }
-    }
-
-    /// Appends one record to the in-memory batch; group-commits when the
-    /// batch fills.
-    pub(crate) fn append<T: serde::Serialize>(&mut self, record: &T) -> Result<(), JournalError> {
-        encode_line_into(record, &mut self.json, &mut self.buf);
-        self.pending += 1;
-        if self.pending >= self.fsync_every.max(1) {
-            self.sync()?;
-        }
-        Ok(())
-    }
-
-    /// Group commit: writes the whole batch with one `write_all` and
-    /// makes it durable with one `sync_data` (the file is append-only,
-    /// so data-plus-size is all that needs to reach stable storage).
-    pub(crate) fn sync(&mut self) -> Result<(), JournalError> {
-        if self.pending == 0 {
-            return Ok(());
-        }
-        self.file
-            .write_all(self.buf.as_bytes())
-            .map_err(|e| JournalError::io(&self.path, "append", e))?;
-        self.buf.clear();
-        self.file.sync_data().map_err(|e| JournalError::io(&self.path, "fsync", e))?;
-        self.pending = 0;
-        Ok(())
-    }
-}
-
 /// Writes a *complete* journal in one shot: header, every slot in index
-/// order, one final fsync. Used by the dispatch coordinator
-/// ([`crate::dispatch`]) to materialize a shard journal from outcomes it
-/// collected over the wire — the resulting file is byte-for-byte what a
-/// local [`run_shard`](crate::shard::run_shard) would have left behind,
-/// so [`merge_shards`](crate::shard::merge_shards) accepts it without
-/// knowing who wrote it. `create`'s tmp-then-rename makes re-dispatch
-/// idempotent: rewriting an already-complete shard journal replaces it
-/// atomically with identical bytes.
+/// order, one final fsync — byte-for-byte what a local
+/// [`run_shard`](crate::shard::run_shard) leaves behind, so the dispatch
+/// coordinator can materialize shard journals from outcomes it collected
+/// over the wire. The atomic create makes re-dispatch idempotent.
 pub(crate) fn write_complete_journal<'a, I>(
     path: &Path,
     fingerprint: Fingerprint,
@@ -750,36 +524,37 @@ pub(crate) fn write_complete_journal<'a, I>(
 where
     I: IntoIterator<Item = (usize, &'a AppOutcome, &'a AppMetrics)>,
 {
-    let mut writer = JournalWriter::create(path, fingerprint, usize::MAX)?;
+    let header = JournalRecord::Header(JournalHeader { version: JOURNAL_VERSION, fingerprint });
+    let mut journal = Journal::create(path, &header, usize::MAX)?;
     for (index, outcome, metrics) in slots {
-        writer.append(&OutcomeRef { index, metrics, outcome })?;
+        journal.append(&OutcomeRef { index, metrics, outcome })?;
     }
-    writer.sync()
+    journal.sync()
 }
 
-/// The writer plus its first failure: once an append fails (full disk,
-/// revoked permissions) journaling stops, the suite keeps running, and
-/// the error is reported when the run returns.
-struct WriterState {
-    writer: JournalWriter,
-    failed: Option<JournalError>,
-}
-
-impl WriterState {
-    /// Appends unless a previous append already failed; records the
-    /// first failure. Returns whether the record was durably queued.
-    fn append<T: serde::Serialize>(&mut self, record: &T) -> bool {
-        if self.failed.is_some() {
-            return false;
-        }
-        match self.writer.append(record) {
-            Ok(()) => true,
-            Err(error) => {
-                self.failed = Some(error);
-                false
-            }
-        }
+/// A small, well-formed checkpoint journal for fuzz seeds: a header,
+/// `apps` rejected or panicked slots, and a flake verdict. Pure — no
+/// clock, no filesystem.
+pub(crate) fn demo_journal(seed: u64, apps: usize) -> Vec<u8> {
+    let fingerprint = Fingerprint {
+        apps: apps as u64,
+        corpus_digest: 0xc4ec_0000_0000_0000 ^ seed,
+        config_digest: seed.wrapping_mul(0x9e37_79b9_7f4a_7c15),
+        flake_retries: 1,
+    };
+    let header = JournalRecord::Header(JournalHeader { version: JOURNAL_VERSION, fingerprint });
+    let mut out = encode_line(&header);
+    for index in 0..apps {
+        let outcome = match index % 2 {
+            0 => AppOutcome::Rejected { reason: format!("container[{index}]: bad magic") },
+            _ => AppOutcome::Panicked { message: format!("seed {seed}") },
+        };
+        let metrics = slot_metrics(&outcome, format!("container[{index}]"), Default::default());
+        out.push_str(&encode_line(&OutcomeRef { index, metrics: &metrics, outcome: &outcome }));
     }
+    let flakes = FlakeSummary { retries: 1, deterministic: 0, flaky: 0, apps: Vec::new() };
+    out.push_str(&encode_line(&JournalRecord::Flakes(flakes)));
+    out.into_bytes()
 }
 
 // ---------------------------------------------------------------------------
@@ -821,16 +596,43 @@ impl CheckpointOptions {
         self
     }
 
-    /// Override the fsync batch size (builder style).
-    pub fn with_fsync_every(mut self, fsync_every: usize) -> Self {
-        self.fsync_every = fsync_every;
-        self
-    }
-
     /// Cap the fresh apps run this invocation (builder style).
     pub fn with_app_budget(mut self, budget: usize) -> Self {
         self.app_budget = Some(budget);
         self
+    }
+
+    /// Fingerprints the invocation and opens its journal: creates it, or
+    /// — with `resume` and a journal present — replays it (refusing a
+    /// foreign fingerprint before touching the file) and reopens it for
+    /// appending. The loaded state is `Some` on resume.
+    pub(crate) fn open(
+        &self,
+        source: &SuiteSource<'_>,
+        config: &FragDroidConfig,
+        flake_retries: usize,
+    ) -> Result<(Journal<JournalRecord>, Option<LoadedJournal>), JournalError> {
+        let fingerprint =
+            Fingerprint::of(source, config, flake_retries).map_err(|error| JournalError::Io {
+                path: self.path.display().to_string(),
+                op: "digest corpus source",
+                error,
+            })?;
+        let header = JournalRecord::Header(JournalHeader { version: JOURNAL_VERSION, fingerprint });
+        match Journal::open(&self.path, self.resume, &header, self.fsync_every)? {
+            Opened::Created(journal) => Ok((journal, None)),
+            Opened::Found(scan) => {
+                let loaded = fold(scan)?;
+                if loaded.fingerprint != fingerprint {
+                    return Err(JournalError::FingerprintMismatch {
+                        expected: fingerprint,
+                        found: loaded.fingerprint,
+                    });
+                }
+                let journal = Journal::resume(&self.path, loaded.valid_len, self.fsync_every)?;
+                Ok((journal, Some(loaded)))
+            }
+        }
     }
 }
 
@@ -864,335 +666,10 @@ impl CheckpointedSuite {
     }
 }
 
-/// [`run_container_suite_checkpointed`] over already-decoded apps.
-pub fn run_suite_checkpointed(
-    apps: &[SuiteApp],
-    config: &FragDroidConfig,
-    workers: usize,
-    trace_config: &fd_trace::TraceConfig,
-    checkpoint: Option<&CheckpointOptions>,
-    flake_retries: usize,
-) -> Result<(CheckpointedSuite, fd_trace::Trace), JournalError> {
-    run_checkpointed(
-        &SuiteSource::Apps(apps),
-        config,
-        workers,
-        trace_config,
-        checkpoint,
-        flake_retries,
-        None,
-    )
-}
-
-/// Runs a container suite with durable progress and flake triage.
-///
-/// With `checkpoint` set, every completed app's outcome is appended to
-/// the journal as it finishes; with `resume`, journaled apps are skipped
-/// and their slots restored byte-identically. With `flake_retries > 0`,
-/// a complete run ends with the triage pass (resumed-complete runs reuse
-/// the journaled verdicts instead of re-running). Passing `None` and `0`
-/// reproduces the plain suite exactly.
-pub fn run_container_suite_checkpointed(
-    containers: &[SuiteContainer],
-    config: &FragDroidConfig,
-    workers: usize,
-    trace_config: &fd_trace::TraceConfig,
-    checkpoint: Option<&CheckpointOptions>,
-    flake_retries: usize,
-) -> Result<(CheckpointedSuite, fd_trace::Trace), JournalError> {
-    run_checkpointed(
-        &SuiteSource::Containers(containers),
-        config,
-        workers,
-        trace_config,
-        checkpoint,
-        flake_retries,
-        None,
-    )
-}
-
-/// [`run_container_suite_checkpointed`] against a caller-built
-/// [`crate::pool::DevicePool`] — the hook for custom device factories
-/// (kill-injection in CI). The pool should have at least `workers`
-/// lanes.
-#[allow(clippy::too_many_arguments)]
-pub fn run_container_suite_checkpointed_pooled(
-    containers: &[SuiteContainer],
-    config: &FragDroidConfig,
-    workers: usize,
-    trace_config: &fd_trace::TraceConfig,
-    checkpoint: Option<&CheckpointOptions>,
-    flake_retries: usize,
-    pool: &crate::pool::DevicePool,
-) -> Result<(CheckpointedSuite, fd_trace::Trace), JournalError> {
-    run_checkpointed(
-        &SuiteSource::Containers(containers),
-        config,
-        workers,
-        trace_config,
-        checkpoint,
-        flake_retries,
-        Some(pool),
-    )
-}
-
-/// [`run_container_suite_checkpointed`] over a lazily fetched
-/// [`CorpusSource`] — the shard coordinator's runner: an on-disk corpus
-/// (or a sub-range of one) streams through the checkpointed engine
-/// without ever materializing, and the journal fingerprint is computed
-/// from the streamed digest, so it is identical to an eager run over
-/// the same entries.
-pub fn run_corpus_suite_checkpointed(
-    source: &dyn crate::suite::CorpusSource,
-    config: &FragDroidConfig,
-    workers: usize,
-    trace_config: &fd_trace::TraceConfig,
-    checkpoint: Option<&CheckpointOptions>,
-    flake_retries: usize,
-) -> Result<(CheckpointedSuite, fd_trace::Trace), JournalError> {
-    run_checkpointed(
-        &SuiteSource::Lazy(source),
-        config,
-        workers,
-        trace_config,
-        checkpoint,
-        flake_retries,
-        None,
-    )
-}
-
-/// [`run_corpus_suite_checkpointed`] against a caller-built
-/// [`crate::pool::DevicePool`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_corpus_suite_checkpointed_pooled(
-    source: &dyn crate::suite::CorpusSource,
-    config: &FragDroidConfig,
-    workers: usize,
-    trace_config: &fd_trace::TraceConfig,
-    checkpoint: Option<&CheckpointOptions>,
-    flake_retries: usize,
-    pool: &crate::pool::DevicePool,
-) -> Result<(CheckpointedSuite, fd_trace::Trace), JournalError> {
-    run_checkpointed(
-        &SuiteSource::Lazy(source),
-        config,
-        workers,
-        trace_config,
-        checkpoint,
-        flake_retries,
-        Some(pool),
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_checkpointed(
-    source: &SuiteSource<'_>,
-    config: &FragDroidConfig,
-    workers: usize,
-    trace_config: &fd_trace::TraceConfig,
-    checkpoint: Option<&CheckpointOptions>,
-    flake_retries: usize,
-    pool: Option<&crate::pool::DevicePool>,
-) -> Result<(CheckpointedSuite, fd_trace::Trace), JournalError> {
-    let n = source.len();
-    let fingerprint =
-        Fingerprint::of(source, config, flake_retries).map_err(|detail| JournalError::Io {
-            path: checkpoint.map(|o| o.path.display().to_string()).unwrap_or_default(),
-            op: "digest corpus source",
-            error: detail,
-        })?;
-
-    // Load or create the journal.
-    let mut restored: BTreeMap<usize, (AppOutcome, AppMetrics)> = BTreeMap::new();
-    let mut journaled_flakes: Option<FlakeSummary> = None;
-    let mut torn_tail_bytes = 0u64;
-    let writer: Option<Mutex<WriterState>> = match checkpoint {
-        None => None,
-        Some(opts) => {
-            let journal_exists = opts.path.exists();
-            let writer = if opts.resume && journal_exists {
-                let loaded = load_journal(&opts.path)?;
-                if loaded.fingerprint != fingerprint {
-                    return Err(JournalError::FingerprintMismatch {
-                        expected: fingerprint,
-                        found: loaded.fingerprint,
-                    });
-                }
-                torn_tail_bytes = loaded.torn_tail_bytes;
-                restored = loaded.slots;
-                journaled_flakes = loaded.flakes;
-                JournalWriter::resume(&opts.path, loaded.valid_len, opts.fsync_every)?
-            } else {
-                if journal_exists {
-                    return Err(JournalError::AlreadyExists {
-                        path: opts.path.display().to_string(),
-                    });
-                }
-                JournalWriter::create(&opts.path, fingerprint, opts.fsync_every)?
-            };
-            Some(Mutex::new(WriterState { writer, failed: None }))
-        }
-    };
-
-    let resumed = restored.len();
-    let mut remaining: Vec<usize> = (0..n).filter(|i| !restored.contains_key(i)).collect();
-    if let Some(budget) = checkpoint.and_then(|o| o.app_budget) {
-        remaining.truncate(budget);
-    }
-    let fresh = remaining.len();
-
-    // Tracing scaffolding mirrors the plain runner: per-lane tracers for
-    // the workers, a coordinator lane for the suite span and the
-    // checkpoint/triage events.
-    let trace_config = *trace_config;
-    let clock = fd_trace::TraceClock::start();
-    let coordinator_lane = workers.min(fresh.max(1)).max(1) as u64;
-    let coordinator = fd_trace::Tracer::new(&trace_config, clock, coordinator_lane);
-    let suite_span = coordinator.span(fd_trace::Phase::Suite, "suite");
-    if resumed > 0 || torn_tail_bytes > 0 {
-        coordinator.event(|| fd_trace::TraceEvent::CheckpointResume {
-            skipped: resumed as u64,
-            torn_tail_bytes,
-        });
-    }
-
-    // One device lane per worker lane (plus one for sequential triage
-    // re-runs, which use lane 0 after the engine drained).
-    let default_pool;
-    let pool = match pool {
-        Some(pool) => pool,
-        None => {
-            default_pool =
-                crate::pool::DevicePool::from_config(config, workers.min(fresh.max(1)).max(1));
-            &default_pool
-        }
-    };
-
-    let remaining_ref = &remaining;
-    let writer_ref = &writer;
-    let engine_run = engine::run_indexed_tagged(fresh, workers, |worker, k| {
-        let index = remaining_ref[k];
-        let tracer = fd_trace::Tracer::new(&trace_config, clock, worker as u64);
-        // Catch panics *here* (inside the engine's own isolation) so a
-        // panicked app still gets its journal record: the engine's
-        // catch_unwind only fires if this closure itself dies.
-        let started = Instant::now();
-        let job =
-            catch_unwind(AssertUnwindSafe(|| source.run_one(index, config, &tracer, pool, worker)))
-                .map_err(|payload| engine::panic_message(payload.as_ref()));
-        let elapsed = started.elapsed();
-        let (outcome, package) = slot_outcome(job, source, index);
-        let metrics = slot_metrics(&outcome, package, elapsed);
-        if let Some(writer) = writer_ref {
-            let appended = writer
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner())
-                .append(&OutcomeRef { index, metrics: &metrics, outcome: &outcome });
-            if appended {
-                tracer.event(|| fd_trace::TraceEvent::CheckpointWrite { index: index as u64 });
-            }
-        }
-        (outcome, metrics, tracer.finish())
-    });
-
-    // Merge restored and fresh slots, in input order.
-    let mut slots = restored;
-    let mut tracks = Vec::new();
-    for (k, (result, _elapsed)) in engine_run.results.into_iter().enumerate() {
-        let index = remaining[k];
-        match result {
-            Ok((outcome, metrics, track)) => {
-                tracks.push(track);
-                slots.insert(index, (outcome, metrics));
-            }
-            Err(message) => {
-                // Only reachable if a worker died outside job isolation;
-                // the slot degrades to a panic outcome.
-                let outcome = AppOutcome::Panicked { message };
-                let metrics = slot_metrics(&outcome, source.name_of(index), Duration::ZERO);
-                slots.insert(index, (outcome, metrics));
-            }
-        }
-    }
-
-    // Flake triage: only once the whole corpus has outcomes. A fully
-    // resumed run reuses the journaled verdicts — zero remaining work
-    // means zero re-runs, and the report is byte-identical to the
-    // uninterrupted one.
-    let complete = slots.len() == n;
-    let flake_summary = if flake_retries > 0 && complete {
-        match journaled_flakes {
-            Some(summary) if fresh == 0 => Some(summary),
-            _ => {
-                let candidates: Vec<(usize, String, &'static str)> = slots
-                    .iter()
-                    .filter_map(|(index, (outcome, metrics))| {
-                        failure_kind(outcome).map(|kind| (*index, metrics.package.clone(), kind))
-                    })
-                    .collect();
-                let summary = triage_with(&candidates, flake_retries, &coordinator, |index, _| {
-                    retry_passes(source, index, config, pool)
-                });
-                if let Some(writer) = &writer {
-                    writer
-                        .lock()
-                        .unwrap_or_else(|poisoned| poisoned.into_inner())
-                        .append(&JournalRecord::Flakes(summary.clone()));
-                }
-                Some(summary)
-            }
-        }
-    } else {
-        None
-    };
-
-    suite_span.end();
-    let mut trace = fd_trace::Trace::new("fragdroid-suite");
-    trace.absorb(coordinator.finish());
-    for track in tracks {
-        trace.absorb(track);
-    }
-
-    // Close out the journal: flush the last batch and surface the first
-    // append failure (if any) as the run's error.
-    if let Some(writer) = writer {
-        let mut state = writer.into_inner().unwrap_or_else(|poisoned| poisoned.into_inner());
-        if let Some(error) = state.failed.take() {
-            return Err(error);
-        }
-        state.writer.sync()?;
-    }
-
-    let mut outcomes = Vec::with_capacity(slots.len());
-    let mut per_app = Vec::with_capacity(slots.len());
-    for (_, (outcome, metrics)) in slots {
-        outcomes.push(outcome);
-        per_app.push(metrics);
-    }
-    let mut metrics = assemble_metrics(
-        per_app,
-        engine_run.workers,
-        engine_run.wall,
-        engine_run.busy,
-        pool.incidents(),
-    );
-    metrics.flake_summary = flake_summary;
-
-    Ok((
-        CheckpointedSuite {
-            run: SuiteRun { outcomes, metrics },
-            total: n,
-            resumed,
-            fresh,
-            torn_tail_bytes,
-        },
-        trace,
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::{decode_line, LineError};
 
     #[test]
     fn classify_splits_deterministic_from_flaky() {

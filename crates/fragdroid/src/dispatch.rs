@@ -29,12 +29,12 @@
 //!   content derived only from deterministic outcomes, so re-writing
 //!   one replaces it with identical bytes.
 //! * **A crash-safe coordinator journal.** Every grant, revocation,
-//!   quarantine, and shard completion is a checksummed line in the same
-//!   codec as the checkpoint journal; `ShardDone` is appended only
-//!   *after* the shard's own journal is durable. `dispatch --resume`
-//!   replays the journal, re-validates every completed shard's file,
-//!   and re-runs only what does not check out — so SIGKILL of the
-//!   coordinator itself loses at most in-flight work.
+//!   quarantine, and shard completion is a [`crate::journal`] record;
+//!   `ShardDone` is appended only *after* the shard's own journal is
+//!   durable. `dispatch --resume` replays the journal, re-validates
+//!   every completed shard's file, and re-runs only what does not check
+//!   out — so SIGKILL of the coordinator itself loses at most in-flight
+//!   work.
 //!
 //! Completed shards merge through
 //! [`merge_shards`](crate::shard::merge_shards), so the merged
@@ -51,16 +51,15 @@ use std::io::{Read as _, Write as _};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
 
-use crate::checkpoint::{
-    decode_line, encode_line_into, load_journal, write_complete_journal, Fingerprint, JournalError,
-    JournalWriter, LineError,
-};
+use crate::checkpoint::{load_journal, write_complete_journal, Fingerprint, JournalError};
 use crate::config::FragDroidConfig;
+use crate::journal::{encode_line, scan, Journal, Opened, Record, Scan};
+use crate::lock;
 use crate::report::RunReport;
 use crate::serve::{
     AnyStream, ChaosConfig, JobOutcome, ListenAddr, ServeRequest, ServeResponse, SubmitClient,
@@ -216,7 +215,7 @@ impl From<ShardError> for DispatchError {
 
 /// Header record of the coordinator journal.
 #[derive(Clone, Debug, Serialize, Deserialize)]
-struct DispatchHeader {
+pub(crate) struct DispatchHeader {
     /// Format version ([`DISPATCH_JOURNAL_VERSION`]).
     version: u64,
     /// Fingerprint of the whole (unsharded) invocation.
@@ -229,7 +228,7 @@ struct DispatchHeader {
 /// `Revoked`, and `Quarantined` are an advisory audit trail; only
 /// `Header` and `ShardDone` decide what a resume re-runs.
 #[derive(Clone, Debug, Serialize, Deserialize)]
-enum DispatchRecord {
+pub(crate) enum DispatchRecord {
     /// The journal's identity; always the first record.
     Header(DispatchHeader),
     /// A lease was granted.
@@ -269,22 +268,12 @@ enum DispatchRecord {
     },
 }
 
-fn encode_dispatch_line(record: &DispatchRecord) -> String {
-    let mut json = String::new();
-    let mut out = String::new();
-    encode_line_into(record, &mut json, &mut out);
-    out
-}
-
-/// Decodes one coordinator-journal line (without trailing newline).
-/// The byte-at-a-time half of the fd-fuzz differential: a prefix-torn,
-/// bit-flipped, or hand-edited line must come back as a rendered error,
-/// never a panic.
-pub fn decode_dispatch_line(line: &[u8]) -> Result<(), String> {
-    match decode_line::<DispatchRecord>(line) {
-        Ok(_) => Ok(()),
-        Err(LineError::Checksum) => Err("checksum mismatch".to_string()),
-        Err(LineError::Malformed(error)) => Err(format!("malformed: {error}")),
+impl Record for DispatchRecord {
+    fn header_version(&self) -> Option<u64> {
+        match self {
+            DispatchRecord::Header(header) => Some(header.version),
+            _ => None,
+        }
     }
 }
 
@@ -314,57 +303,21 @@ pub struct DispatchJournal {
 /// — corrupt checksums, a missing or foreign header, duplicate
 /// completions — is a typed [`JournalError`].
 pub fn parse_dispatch_journal(data: &[u8]) -> Result<DispatchJournal, JournalError> {
-    let mut offset = 0usize;
-    let mut line_no = 0usize;
-    let mut torn_tail_bytes = 0u64;
-    let mut records: Vec<(usize, DispatchRecord)> = Vec::new();
-    while offset < data.len() {
-        line_no += 1;
-        let Some(newline) = data[offset..].iter().position(|&b| b == b'\n') else {
-            torn_tail_bytes = (data.len() - offset) as u64;
-            break;
-        };
-        let line = &data[offset..offset + newline];
-        match decode_line::<DispatchRecord>(line) {
-            Ok(record) => {
-                records.push((line_no, record));
-                offset += newline + 1;
-            }
-            Err(LineError::Checksum) => {
-                return Err(JournalError::ChecksumMismatch { line: line_no })
-            }
-            Err(LineError::Malformed(error)) => {
-                return Err(JournalError::BadRecord { line: line_no, error })
-            }
-        }
-    }
-    let valid_len = offset as u64;
+    fold(scan(data, DISPATCH_JOURNAL_VERSION)?)
+}
 
-    let mut iter = records.into_iter();
-    let (fingerprint, shards) = match iter.next() {
-        Some((_, DispatchRecord::Header(header))) => {
-            if header.version != DISPATCH_JOURNAL_VERSION {
-                return Err(JournalError::VersionMismatch { found: header.version });
-            }
-            (header.fingerprint, header.shards)
-        }
-        Some((_, _)) => return Err(JournalError::MissingHeader),
-        None if torn_tail_bytes > 0 => {
-            return Err(JournalError::TornTail { bytes: torn_tail_bytes })
-        }
-        None => return Err(JournalError::MissingHeader),
+/// Folds a scanned coordinator journal into its done-set and counters.
+pub(crate) fn fold(scan: Scan<DispatchRecord>) -> Result<DispatchJournal, JournalError> {
+    let DispatchRecord::Header(header) = scan.header else {
+        return Err(JournalError::MissingHeader);
     };
-
+    let shards = header.shards;
     let mut done = BTreeMap::new();
     let (mut grants, mut revocations, mut quarantines) = (0u64, 0u64, 0u64);
-    for (line, record) in iter {
+    for (_, record) in scan.records {
         match record {
-            DispatchRecord::Header(_) => {
-                return Err(JournalError::BadRecord {
-                    line,
-                    error: "second header record".to_string(),
-                })
-            }
+            // The scanner refuses a second header.
+            DispatchRecord::Header(_) => {}
             DispatchRecord::Granted { .. } => grants += 1,
             DispatchRecord::Revoked { .. } => revocations += 1,
             DispatchRecord::Quarantined { .. } => quarantines += 1,
@@ -380,14 +333,14 @@ pub fn parse_dispatch_journal(data: &[u8]) -> Result<DispatchJournal, JournalErr
     }
 
     Ok(DispatchJournal {
-        fingerprint,
+        fingerprint: header.fingerprint,
         shards,
         done,
         grants,
         revocations,
         quarantines,
-        valid_len,
-        torn_tail_bytes,
+        valid_len: scan.valid_len,
+        torn_tail_bytes: scan.torn_tail_bytes,
     })
 }
 
@@ -402,7 +355,7 @@ pub fn demo_dispatch_journal(seed: u64, shards: usize) -> Vec<u8> {
         flake_retries: 0,
     };
     let mut out = String::new();
-    out.push_str(&encode_dispatch_line(&DispatchRecord::Header(DispatchHeader {
+    out.push_str(&encode_line(&DispatchRecord::Header(DispatchHeader {
         version: DISPATCH_JOURNAL_VERSION,
         fingerprint,
         shards,
@@ -410,21 +363,17 @@ pub fn demo_dispatch_journal(seed: u64, shards: usize) -> Vec<u8> {
     for shard in 0..shards {
         let worker = shard % 2;
         let generation = shard as u64;
-        out.push_str(&encode_dispatch_line(&DispatchRecord::Granted { shard, worker, generation }));
+        out.push_str(&encode_line(&DispatchRecord::Granted { shard, worker, generation }));
         if shard % 3 == 1 {
-            out.push_str(&encode_dispatch_line(&DispatchRecord::Revoked {
-                shard,
-                worker,
-                generation,
-            }));
-            out.push_str(&encode_dispatch_line(&DispatchRecord::Quarantined { worker }));
-            out.push_str(&encode_dispatch_line(&DispatchRecord::Granted {
+            out.push_str(&encode_line(&DispatchRecord::Revoked { shard, worker, generation }));
+            out.push_str(&encode_line(&DispatchRecord::Quarantined { worker }));
+            out.push_str(&encode_line(&DispatchRecord::Granted {
                 shard,
                 worker: (worker + 1) % 2,
                 generation: generation + shards as u64,
             }));
         }
-        out.push_str(&encode_dispatch_line(&DispatchRecord::ShardDone {
+        out.push_str(&encode_line(&DispatchRecord::ShardDone {
             shard,
             worker,
             generation,
@@ -541,12 +490,6 @@ struct Farm {
     reassignment_latencies: Vec<Duration>,
 }
 
-/// Mutex lock that shrugs off poisoning: the farm state stays usable
-/// even if a worker thread panicked while holding the lock.
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
 /// Everything worker threads and the coordinator share by reference.
 struct DispatchCtx<'a> {
     source: &'a dyn CorpusSource,
@@ -560,7 +503,7 @@ struct DispatchCtx<'a> {
     journaled_done: &'a BTreeSet<usize>,
     farm: &'a Mutex<Farm>,
     cv: &'a Condvar,
-    writer: &'a Option<Mutex<JournalWriter>>,
+    writer: &'a Option<Mutex<Journal<DispatchRecord>>>,
 }
 
 impl DispatchCtx<'_> {
@@ -570,13 +513,16 @@ impl DispatchCtx<'_> {
     fn append(&self, record: &DispatchRecord) {
         let Some(writer) = self.writer else { return };
         if let Err(error) = lock(writer).append(record) {
-            let mut g = lock(self.farm);
-            if g.fatal.is_none() {
-                g.fatal = Some(DispatchError::Journal(error));
-            }
-            g.shutdown = true;
-            self.cv.notify_all();
+            self.fail(error);
         }
+    }
+
+    /// Stops the run on a journal failure, keeping the first one.
+    fn fail(&self, error: JournalError) {
+        let mut g = lock(self.farm);
+        g.fatal.get_or_insert(DispatchError::Journal(error));
+        g.shutdown = true;
+        self.cv.notify_all();
     }
 }
 
@@ -861,12 +807,7 @@ fn worker_loop(
                             outcomes.iter().map(|(i, o, m)| (*i, o, m)),
                         );
                         if let Err(error) = written {
-                            let mut g = lock(ctx.farm);
-                            if g.fatal.is_none() {
-                                g.fatal = Some(DispatchError::Journal(error));
-                            }
-                            g.shutdown = true;
-                            ctx.cv.notify_all();
+                            ctx.fail(error);
                             continue;
                         }
                         let won = {
@@ -1111,14 +1052,14 @@ pub fn dispatch(
         return Err(DispatchError::ResumeWithoutJournal);
     }
     let shards = if options.shards == 0 { options.endpoints.len() } else { options.shards };
-    let fingerprint = Fingerprint::of(&SuiteSource::Lazy(source), config, 0)
+    let fingerprint = Fingerprint::of(&SuiteSource::Corpus(source), config, 0)
         .map_err(|detail| DispatchError::Source { detail })?;
 
     let mut ranges = Vec::with_capacity(shards);
     let mut shard_fingerprints = Vec::with_capacity(shards);
     for index in 0..shards {
         let slice = ShardSlice::new(source, shards, index)?;
-        let fp = Fingerprint::of(&SuiteSource::Lazy(&slice), config, 0)
+        let fp = Fingerprint::of(&SuiteSource::Corpus(&slice), config, 0)
             .map_err(|detail| DispatchError::Source { detail })?;
         ranges.push(slice.range());
         shard_fingerprints.push(fp);
@@ -1137,57 +1078,50 @@ pub fn dispatch(
     let mut done = BTreeSet::new();
     let mut journaled_done = BTreeSet::new();
     let mut resumed_shards = 0usize;
-    let writer: Option<Mutex<JournalWriter>> = match &options.journal {
+    let writer = match &options.journal {
         None => None,
-        Some(path) if options.resume && path.exists() => {
-            let data = std::fs::read(path).map_err(|e| JournalError::Io {
-                path: path.display().to_string(),
-                op: "read",
-                error: e.to_string(),
-            })?;
-            let loaded = parse_dispatch_journal(&data)?;
-            if loaded.fingerprint != fingerprint {
-                return Err(DispatchError::Journal(JournalError::FingerprintMismatch {
-                    expected: fingerprint,
-                    found: loaded.fingerprint,
-                }));
-            }
-            if loaded.shards != shards {
-                return Err(DispatchError::ShardCountMismatch {
-                    journal: loaded.shards,
-                    requested: shards,
-                });
-            }
-            for &shard in loaded.done.keys() {
-                journaled_done.insert(shard);
-                // ShardDone is a claim, not proof: trust only shard
-                // journals that still load, fingerprint-match, and
-                // cover their whole slice. Anything else re-runs.
-                match load_journal(&shard_journal_path(&base, shard, shards)) {
-                    Ok(l)
-                        if l.fingerprint == shard_fingerprints[shard]
-                            && l.slots.len() == ranges[shard].len() =>
-                    {
-                        done.insert(shard);
-                        resumed_shards += 1;
-                    }
-                    _ => {}
-                }
-            }
-            Some(Mutex::new(JournalWriter::resume(path, loaded.valid_len, 1)?))
-        }
         Some(path) => {
-            if path.exists() {
-                return Err(DispatchError::Journal(JournalError::AlreadyExists {
-                    path: path.display().to_string(),
-                }));
-            }
-            let header = encode_dispatch_line(&DispatchRecord::Header(DispatchHeader {
+            let header = DispatchRecord::Header(DispatchHeader {
                 version: DISPATCH_JOURNAL_VERSION,
                 fingerprint,
                 shards,
-            }));
-            Some(Mutex::new(JournalWriter::create_raw(path, &header, 1)?))
+            });
+            let journal = match Journal::open(path, options.resume, &header, 1)? {
+                Opened::Created(journal) => journal,
+                Opened::Found(scan) => {
+                    let loaded = fold(scan)?;
+                    if loaded.fingerprint != fingerprint {
+                        return Err(DispatchError::Journal(JournalError::FingerprintMismatch {
+                            expected: fingerprint,
+                            found: loaded.fingerprint,
+                        }));
+                    }
+                    if loaded.shards != shards {
+                        return Err(DispatchError::ShardCountMismatch {
+                            journal: loaded.shards,
+                            requested: shards,
+                        });
+                    }
+                    for &shard in loaded.done.keys() {
+                        journaled_done.insert(shard);
+                        // ShardDone is a claim, not proof: trust only shard
+                        // journals that still load, fingerprint-match, and
+                        // cover their whole slice. Anything else re-runs.
+                        match load_journal(&shard_journal_path(&base, shard, shards)) {
+                            Ok(l)
+                                if l.fingerprint == shard_fingerprints[shard]
+                                    && l.slots.len() == ranges[shard].len() =>
+                            {
+                                done.insert(shard);
+                                resumed_shards += 1;
+                            }
+                            _ => {}
+                        }
+                    }
+                    Journal::resume(path, loaded.valid_len, 1)?
+                }
+            };
+            Some(Mutex::new(journal))
         }
     };
 
@@ -1284,7 +1218,7 @@ pub fn dispatch(
 mod tests {
     use super::*;
     use crate::serve::{serve_listener, ServeListener, ServeOptions};
-    use crate::suite::{run_corpus_suite_traced, SuiteContainer};
+    use crate::suite::{run, SuiteContainer, SuiteOptions};
     use std::sync::atomic::AtomicU64 as TestCounter;
 
     fn scratch(name: &str) -> PathBuf {
@@ -1367,7 +1301,8 @@ mod tests {
         assert!(parsed.revocations >= 1 && parsed.quarantines >= 1);
         // Every line decodes on its own too.
         for line in bytes.split(|&b| b == b'\n').filter(|l| !l.is_empty()) {
-            decode_dispatch_line(line).expect("each demo line decodes");
+            let decoded = crate::journal::decode_line::<DispatchRecord>(line);
+            assert!(decoded.is_ok(), "each demo line decodes");
         }
     }
 
@@ -1399,7 +1334,7 @@ mod tests {
         assert_eq!(parse_dispatch_journal(&second_line), Err(JournalError::MissingHeader));
         // Duplicate ShardDone: DuplicateIndex.
         let mut dup = String::from_utf8(bytes.clone()).unwrap();
-        dup.push_str(&encode_dispatch_line(&DispatchRecord::ShardDone {
+        dup.push_str(&encode_line(&DispatchRecord::ShardDone {
             shard: 0,
             worker: 0,
             generation: 99,
@@ -1411,7 +1346,7 @@ mod tests {
         );
         // ShardDone outside the split: IndexOutOfRange.
         let mut oob = String::from_utf8(bytes.clone()).unwrap();
-        oob.push_str(&encode_dispatch_line(&DispatchRecord::ShardDone {
+        oob.push_str(&encode_line(&DispatchRecord::ShardDone {
             shard: 9,
             worker: 0,
             generation: 99,
@@ -1422,7 +1357,7 @@ mod tests {
             Err(JournalError::IndexOutOfRange { index: 9, total: 4 })
         );
         // A future format version is refused.
-        let future = encode_dispatch_line(&DispatchRecord::Header(DispatchHeader {
+        let future = encode_line(&DispatchRecord::Header(DispatchHeader {
             version: DISPATCH_JOURNAL_VERSION + 1,
             fingerprint: Fingerprint {
                 apps: 1,
@@ -1443,7 +1378,10 @@ mod tests {
         let corpus = corpus(6);
         let config = FragDroidConfig::default();
         let off = fd_trace::TraceConfig::off();
-        let (reference, _) = run_corpus_suite_traced(&corpus, &config, 2, &off);
+        let options = SuiteOptions { workers: 2, ..SuiteOptions::default() };
+        let (reference, _) =
+            run(SuiteSource::Corpus(&corpus), &config, &options).expect("no journal");
+        let reference = reference.run;
 
         let (addr_a, server_a) = spawn_server(1);
         let (addr_b, server_b) = spawn_server(1);
@@ -1465,7 +1403,10 @@ mod tests {
         let corpus = corpus(4);
         let config = FragDroidConfig::default();
         let off = fd_trace::TraceConfig::off();
-        let (reference, _) = run_corpus_suite_traced(&corpus, &config, 2, &off);
+        let options = SuiteOptions { workers: 2, ..SuiteOptions::default() };
+        let (reference, _) =
+            run(SuiteSource::Corpus(&corpus), &config, &options).expect("no journal");
+        let reference = reference.run;
 
         let (live, server) = spawn_server(1);
         // Port 1 on loopback is essentially never bound: instant refusal.

@@ -34,6 +34,7 @@ pub mod codegen;
 pub mod config;
 pub mod dispatch;
 pub mod driver;
+pub mod journal;
 pub mod pool;
 pub mod queue;
 pub mod report;
@@ -42,18 +43,17 @@ pub mod shard;
 pub mod suite;
 
 pub use checkpoint::{
-    load_journal, run_container_suite_checkpointed, run_container_suite_checkpointed_pooled,
-    run_corpus_suite_checkpointed, run_corpus_suite_checkpointed_pooled, run_suite_checkpointed,
-    CheckpointOptions, CheckpointedSuite, Fingerprint, FlakeClass, FlakeRecord, FlakeSummary,
-    JournalError, LoadedJournal,
+    load_journal, CheckpointOptions, CheckpointedSuite, Fingerprint, FlakeClass, FlakeRecord,
+    FlakeSummary, JournalError, LoadedJournal,
 };
 pub use config::FragDroidConfig;
 pub use dispatch::{
-    decode_dispatch_line, demo_dispatch_journal, dispatch, parse_dispatch_journal, DispatchError,
-    DispatchJournal, DispatchOptions, DispatchRun, DispatchSummary, WorkerStat,
-    DISPATCH_JOURNAL_VERSION,
+    demo_dispatch_journal, dispatch, parse_dispatch_journal, DispatchError, DispatchJournal,
+    DispatchOptions, DispatchRun, DispatchSummary, WorkerStat, DISPATCH_JOURNAL_VERSION,
 };
 pub use driver::FragDroid;
+pub use journal::JournalKind;
+
 pub use pool::{build_backend, DeviceFactory, DevicePool};
 pub use queue::{QueueItem, UiQueue};
 pub use report::{Coverage, CrashReport, CrashSignature, DeviceErrorStats, RunReport};
@@ -67,8 +67,12 @@ pub use shard::{
     ShardStat,
 };
 pub use suite::{
-    run_container_suite_outcomes, run_container_suite_pooled, run_container_suite_traced,
-    run_corpus_suite_pooled, run_corpus_suite_traced, run_suite, run_suite_outcomes,
-    run_suite_traced, run_suite_with_workers, AppMetrics, AppOutcome, CorpusSource, SuiteMetrics,
-    SuiteRun,
+    run_container_suite_traced, run_corpus_suite_checkpointed, run_corpus_suite_traced, AppMetrics,
+    AppOutcome, CorpusSource, SuiteMetrics, SuiteOptions, SuiteRun, SuiteSource,
 };
+
+/// Locks a mutex, shrugging off poisoning: shared state stays usable
+/// even if a thread panicked while holding the lock.
+pub(crate) fn lock<T>(mutex: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}

@@ -1,33 +1,18 @@
-//! The serve job journal: an append-only, checksummed record of every
-//! accepted submission and every finished result, so a killed server
-//! can be restarted and pick up exactly where it died.
-//!
-//! The on-disk format reuses the checkpoint journal's line codec —
-//! `"<fnv16hex> <json>\n"` per record ([`crate::checkpoint`]) — over
-//! its own record type:
-//!
-//! - a `Header` stamping the format version and the config digest
-//!   (refusing to mix results from different configurations, like the
-//!   checkpoint fingerprint),
-//! - one `Submitted` per accepted job, fsynced **before** the client
-//!   sees `Accepted` (durable admission),
-//! - one `Completed` per finished job, fsynced before the in-memory
-//!   table flips to done.
-//!
-//! Recovery replays the valid prefix: a `Completed` job is served from
-//! the journal byte-identically, a `Submitted`-only job is re-queued
-//! (the engine is deterministic, so the re-run reproduces the same
-//! report), and a torn tail — the half-written line a `kill -9` leaves
-//! behind — is truncated away. Creation is atomic (tmp + fsync +
-//! rename + directory fsync), so a journal file at the path always has
-//! a complete header.
+//! The serve job journal: a [`crate::journal`] of every accepted
+//! submission and every finished result, so a killed server restarts
+//! where it died. A `Header` binds the config digest; one `Submitted`
+//! per job is fsynced **before** the client sees `Accepted`; one
+//! `Completed` per job is fsynced before the in-memory table flips to
+//! done. Recovery serves `Completed` jobs byte-identically, re-queues
+//! `Submitted`-only ones (the engine is deterministic) and truncates a
+//! torn tail; a corrupt *complete* line is a typed error and the file
+//! is left untouched.
 
-use crate::checkpoint::{decode_line, encode_line_into, JournalError, LineError};
+use crate::checkpoint::JournalError;
+use crate::journal::{encode_line, Journal, Opened, Record, Scan};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::fs::{File, OpenOptions};
-use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Job-journal format version; bumped whenever a record shape changes
 /// incompatibly.
@@ -35,13 +20,22 @@ pub(crate) const JOB_JOURNAL_VERSION: u64 = 1;
 
 /// One journal line.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-enum JobRecord {
+pub(crate) enum JobRecord {
     /// First line of every journal.
     Header { config_digest: u64, version: u64 },
     /// An accepted submission, written before the `Accepted` reply.
     Submitted { container_hex: String, digest: u64, inputs: BTreeMap<String, String>, job: u64 },
     /// A finished job: `ok` selects report (`true`) vs refusal.
     Completed { job: u64, ok: bool, payload: String },
+}
+
+impl Record for JobRecord {
+    fn header_version(&self) -> Option<u64> {
+        match self {
+            JobRecord::Header { version, .. } => Some(*version),
+            JobRecord::Submitted { .. } | JobRecord::Completed { .. } => None,
+        }
+    }
 }
 
 /// One job restored from the journal.
@@ -64,13 +58,9 @@ pub(crate) struct Recovery {
     pub torn_tail_bytes: u64,
 }
 
-/// An open job journal, positioned for appending.
-pub(crate) struct JobJournal {
-    path: PathBuf,
-    file: File,
-    json_scratch: String,
-    line_scratch: String,
-}
+/// An open job journal. Every record is fsynced on its own; after a
+/// failed append every later one returns the same error until restart.
+pub(crate) type JobJournal = Journal<JobRecord>;
 
 impl JobJournal {
     /// Opens the journal at `path`, recovering its contents, or creates
@@ -79,131 +69,22 @@ impl JobJournal {
         path: &Path,
         config_digest: u64,
     ) -> Result<(JobJournal, Recovery), JournalError> {
-        if path.exists() {
-            Self::recover(path, config_digest)
-        } else {
-            Self::create(path, config_digest).map(|journal| (journal, Recovery::default()))
-        }
-    }
-
-    /// Creates a fresh journal: header into a tmp file, fsync, rename
-    /// over the final path, fsync the directory — after this sequence
-    /// the journal either exists with a complete header or not at all.
-    fn create(path: &Path, config_digest: u64) -> Result<JobJournal, JournalError> {
-        let tmp = path.with_extension("jobs.tmp");
-        let mut file = File::create(&tmp).map_err(|e| io_err(&tmp, "create", e))?;
-        let mut json = String::new();
-        let mut line = String::new();
-        encode_line_into(
-            &JobRecord::Header { config_digest, version: JOB_JOURNAL_VERSION },
-            &mut json,
-            &mut line,
-        );
-        file.write_all(line.as_bytes()).map_err(|e| io_err(&tmp, "write header", e))?;
-        file.sync_all().map_err(|e| io_err(&tmp, "fsync", e))?;
-        drop(file);
-        std::fs::rename(&tmp, path).map_err(|e| io_err(path, "rename", e))?;
-        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-            if let Ok(dir_handle) = File::open(dir) {
-                let _ = dir_handle.sync_all();
+        let header = JobRecord::Header { config_digest, version: JOB_JOURNAL_VERSION };
+        let scan = match Journal::open(path, true, &header, 1)? {
+            Opened::Created(journal) => return Ok((journal, Recovery::default())),
+            Opened::Found(scan) => scan,
+        };
+        if let JobRecord::Header { config_digest: found, .. } = scan.header {
+            if found != config_digest {
+                return Err(JournalError::FingerprintMismatch {
+                    expected: digest_fingerprint(config_digest),
+                    found: digest_fingerprint(found),
+                });
             }
         }
-        let file =
-            OpenOptions::new().append(true).open(path).map_err(|e| io_err(path, "open", e))?;
-        Ok(JobJournal { path: path.to_path_buf(), file, json_scratch: json, line_scratch: line })
-    }
-
-    /// Replays an existing journal: validates the header, restores the
-    /// job table from the valid record prefix, truncates everything
-    /// past the first undecodable line (the torn tail a crash leaves),
-    /// and reopens for appending.
-    fn recover(path: &Path, config_digest: u64) -> Result<(JobJournal, Recovery), JournalError> {
-        let data = std::fs::read(path).map_err(|e| io_err(path, "read", e))?;
-        let mut records: Vec<JobRecord> = Vec::new();
-        let mut offset = 0usize;
-        while offset < data.len() {
-            let Some(newline) = data[offset..].iter().position(|&b| b == b'\n') else {
-                break; // incomplete final line: torn tail
-            };
-            // A line that fails its checksum or does not parse marks
-            // the start of the torn tail; resubmission re-runs anything
-            // the truncation drops, so stopping here is safe.
-            match decode_line::<JobRecord>(&data[offset..offset + newline]) {
-                Ok(record) => {
-                    records.push(record);
-                    offset += newline + 1;
-                }
-                Err(LineError::Checksum) | Err(LineError::Malformed(_)) => break,
-            }
-        }
-        let valid_len = offset as u64;
-        let torn_tail_bytes = data.len() as u64 - valid_len;
-
-        let mut iter = records.into_iter();
-        match iter.next() {
-            Some(JobRecord::Header { config_digest: found, version }) => {
-                if version != JOB_JOURNAL_VERSION {
-                    return Err(JournalError::VersionMismatch { found: version });
-                }
-                if found != config_digest {
-                    return Err(JournalError::FingerprintMismatch {
-                        expected: digest_fingerprint(config_digest),
-                        found: digest_fingerprint(found),
-                    });
-                }
-            }
-            Some(_) | None => return Err(JournalError::MissingHeader),
-        }
-
-        let mut jobs: BTreeMap<u64, RecoveredJob> = BTreeMap::new();
-        for (line, record) in iter.enumerate() {
-            // 1-based, counting the header as line 1.
-            let line = line + 2;
-            match record {
-                JobRecord::Header { .. } => {
-                    return Err(JournalError::BadRecord {
-                        line,
-                        error: "second header record".to_string(),
-                    })
-                }
-                JobRecord::Submitted { container_hex, digest, inputs, job } => {
-                    if jobs.contains_key(&job) {
-                        return Err(JournalError::DuplicateIndex { index: job as usize });
-                    }
-                    jobs.insert(
-                        job,
-                        RecoveredJob { job, digest, container_hex, inputs, result: None },
-                    );
-                }
-                JobRecord::Completed { job, ok, payload } => {
-                    let Some(entry) = jobs.get_mut(&job) else {
-                        return Err(JournalError::BadRecord {
-                            line,
-                            error: format!("Completed record for unsubmitted job {job}"),
-                        });
-                    };
-                    entry.result = Some(if ok { Ok(payload) } else { Err(payload) });
-                }
-            }
-        }
-
-        if torn_tail_bytes > 0 {
-            let file =
-                OpenOptions::new().write(true).open(path).map_err(|e| io_err(path, "open", e))?;
-            file.set_len(valid_len).map_err(|e| io_err(path, "truncate", e))?;
-            file.sync_all().map_err(|e| io_err(path, "fsync", e))?;
-        }
-        let file =
-            OpenOptions::new().append(true).open(path).map_err(|e| io_err(path, "open", e))?;
-        Ok((
-            JobJournal {
-                path: path.to_path_buf(),
-                file,
-                json_scratch: String::new(),
-                line_scratch: String::new(),
-            },
-            Recovery { jobs: jobs.into_values().collect(), torn_tail_bytes },
-        ))
+        let (valid_len, torn_tail_bytes) = (scan.valid_len, scan.torn_tail_bytes);
+        let jobs = fold(scan)?;
+        Ok((Journal::resume(path, valid_len, 1)?, Recovery { jobs, torn_tail_bytes }))
     }
 
     /// Appends (and fsyncs) one `Submitted` record. Called before the
@@ -232,29 +113,59 @@ impl JobJournal {
     ) -> Result<(), JournalError> {
         self.append(&JobRecord::Completed { job, ok, payload: payload.to_string() })
     }
-
-    fn append(&mut self, record: &JobRecord) -> Result<(), JournalError> {
-        self.line_scratch.clear();
-        encode_line_into(record, &mut self.json_scratch, &mut self.line_scratch);
-        self.file
-            .write_all(self.line_scratch.as_bytes())
-            .map_err(|e| io_err(&self.path, "append", e))?;
-        self.file.sync_data().map_err(|e| io_err(&self.path, "fsync", e))
-    }
-
-    /// Flushes pending writes to disk.
-    pub fn sync(&mut self) -> Result<(), JournalError> {
-        self.file.sync_data().map_err(|e| io_err(&self.path, "fsync", e))
-    }
 }
 
-fn io_err(path: &Path, op: &'static str, error: std::io::Error) -> JournalError {
-    JournalError::Io { path: path.display().to_string(), op, error: error.to_string() }
+/// Folds a scanned job journal into its job table, in job-id order.
+pub(crate) fn fold(scan: Scan<JobRecord>) -> Result<Vec<RecoveredJob>, JournalError> {
+    let mut jobs: BTreeMap<u64, RecoveredJob> = BTreeMap::new();
+    for (line, record) in scan.records {
+        match record {
+            // The scanner refuses a second header.
+            JobRecord::Header { .. } => {}
+            JobRecord::Submitted { container_hex, digest, inputs, job } => {
+                if jobs.contains_key(&job) {
+                    return Err(JournalError::DuplicateIndex { index: job as usize });
+                }
+                jobs.insert(job, RecoveredJob { job, digest, container_hex, inputs, result: None });
+            }
+            JobRecord::Completed { job, ok, payload } => {
+                let Some(entry) = jobs.get_mut(&job) else {
+                    return Err(JournalError::BadRecord {
+                        line,
+                        error: format!("Completed record for unsubmitted job {job}"),
+                    });
+                };
+                entry.result = Some(if ok { Ok(payload) } else { Err(payload) });
+            }
+        }
+    }
+    Ok(jobs.into_values().collect())
+}
+
+/// A small, well-formed job journal for fuzz seeds: a header, `jobs`
+/// submissions, and a completion (report or refusal) for every other
+/// one. Pure — no clock, no filesystem.
+pub(crate) fn demo_journal(seed: u64, jobs: usize) -> Vec<u8> {
+    let mut out =
+        encode_line(&JobRecord::Header { config_digest: seed, version: JOB_JOURNAL_VERSION });
+    for job in 0..jobs as u64 {
+        let inputs = BTreeMap::from([("field".to_string(), format!("value-{seed}"))]);
+        let container_hex = format!("{:016x}", seed ^ job);
+        let digest = seed.wrapping_add(job);
+        out.push_str(&encode_line(&JobRecord::Submitted { container_hex, digest, inputs, job }));
+        if job % 2 == 0 {
+            let (ok, payload) = (job % 4 == 0, format!("{{\"job\":{job}}}"));
+            out.push_str(&encode_line(&JobRecord::Completed { job, ok, payload }));
+        }
+    }
+    out.into_bytes()
 }
 
 /// Wraps a bare config digest in the checkpoint [`Fingerprint`] shape
 /// so the mismatch error renders through the same Display path. The
 /// job journal has no corpus or flake budget, so those fields are 0.
+///
+/// [`Fingerprint`]: crate::checkpoint::Fingerprint
 fn digest_fingerprint(config_digest: u64) -> crate::checkpoint::Fingerprint {
     crate::checkpoint::Fingerprint { apps: 0, corpus_digest: 0, config_digest, flake_retries: 0 }
 }
@@ -262,6 +173,7 @@ fn digest_fingerprint(config_digest: u64) -> crate::checkpoint::Fingerprint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("fd-serve-journal-{}", std::process::id()));
@@ -318,6 +230,32 @@ mod tests {
         assert_eq!(recovery.jobs.len(), 1);
         assert_eq!(recovery.jobs[0].result, Some(Err("refused".to_string())));
         assert_eq!(std::fs::metadata(&path).expect("meta").len(), clean_len, "tail truncated");
+    }
+
+    /// A checksum-failing *complete* line is corruption, not a torn
+    /// tail: recovery refuses it typed and leaves every durable record
+    /// after it on disk.
+    #[test]
+    fn mid_file_corruption_is_typed_and_the_file_untouched() {
+        let path = tmp("corrupt.jobs");
+        let _ = std::fs::remove_file(&path);
+        let (mut journal, _) = JobJournal::open_or_create(&path, 5).expect("create");
+        journal.append_submitted(1, 10, "aa", &inputs()).expect("submit 1");
+        journal.append_submitted(2, 20, "bb", &BTreeMap::new()).expect("submit 2");
+        journal.append_completed(1, true, "{}").expect("complete 1");
+        drop(journal);
+
+        let mut bytes = std::fs::read(&path).expect("read");
+        let line_two = bytes.iter().position(|&b| b == b'\n').expect("header line") + 1;
+        bytes[line_two + 20] ^= 1;
+        std::fs::write(&path, &bytes).expect("corrupt");
+        let len = bytes.len() as u64;
+
+        assert!(matches!(
+            JobJournal::open_or_create(&path, 5),
+            Err(JournalError::ChecksumMismatch { line: 2 })
+        ));
+        assert_eq!(std::fs::metadata(&path).expect("meta").len(), len, "file untouched");
     }
 
     #[test]

@@ -44,13 +44,14 @@
 
 mod chaos;
 mod client;
-mod journal;
+pub(crate) mod journal;
 
 pub use chaos::{ChaosConfig, ChaosStream};
 pub use client::{ClientError, JobOutcome, SubmitClient};
 
 use crate::checkpoint::{fnv1a, JournalError, FNV_OFFSET};
 use crate::config::FragDroidConfig;
+use crate::lock;
 use crate::pool::DevicePool;
 use crate::suite::run_container_slot;
 use fd_droidsim::proto::{decode_payload, encode_frame, from_hex, Envelope, FrameBuffer};
@@ -684,15 +685,6 @@ fn submission_digest(container_hex: &str, inputs: &BTreeMap<String, String>) -> 
 /// heavier congestion spreads retries wider.
 fn busy_retry_after_ms(queued: usize, workers: usize) -> u64 {
     10 + (queued as u64 * 20) / workers.max(1) as u64
-}
-
-/// Locks a mutex, shrugging off poisoning (a panicked worker must not
-/// wedge the session).
-fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    match mutex.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    }
 }
 
 /// Runs one request against the shared state. Returns the reply and

@@ -216,30 +216,19 @@ pub fn run_shard(
     pool: Option<&crate::pool::DevicePool>,
 ) -> Result<(crate::checkpoint::CheckpointedSuite, fd_trace::Trace), ShardError> {
     let slice = ShardSlice::new(source, shards, index)?;
-    let options = crate::checkpoint::CheckpointOptions {
+    let journal = crate::checkpoint::CheckpointOptions {
         path: shard_journal_path(&base.path, index, shards),
         ..base.clone()
     };
-    match pool {
-        Some(pool) => crate::checkpoint::run_corpus_suite_checkpointed_pooled(
-            &slice,
-            config,
-            workers,
-            trace_config,
-            Some(&options),
-            flake_retries,
-            pool,
-        ),
-        None => crate::checkpoint::run_corpus_suite_checkpointed(
-            &slice,
-            config,
-            workers,
-            trace_config,
-            Some(&options),
-            flake_retries,
-        ),
-    }
-    .map_err(|error| ShardError::Journal { shard: index, error })
+    let options = crate::suite::SuiteOptions {
+        workers,
+        trace: *trace_config,
+        pool,
+        checkpoint: Some(&journal),
+        flake_retries,
+    };
+    crate::suite::run(SuiteSource::Corpus(&slice), config, &options)
+        .map_err(|error| ShardError::Journal { shard: index, error })
 }
 
 /// Merges the per-shard journals of an N-way split back into one
@@ -268,7 +257,7 @@ pub fn merge_shards(
     for shard in 0..shards {
         let slice = ShardSlice::new(source, shards, shard)?;
         let range = slice.range();
-        let expected = Fingerprint::of(&SuiteSource::Lazy(&slice), config, flake_retries)
+        let expected = Fingerprint::of(&SuiteSource::Corpus(&slice), config, flake_retries)
             .map_err(|detail| ShardError::Source { detail })?;
         let journal = shard_journal_path(base, shard, shards);
         let loaded =

@@ -1,29 +1,28 @@
-//! The shared corpus runner every multi-app experiment goes through.
+//! The shared corpus runner every multi-app run goes through: [`run`].
 //!
-//! One work-stealing scheduler replaces the three parallel harnesses the
-//! evaluation crates used to carry around (static chunking here, an
-//! unbounded thread-per-app loop in Table I, and a hand-rolled chunked
-//! scope in the corpus benchmark). Workers pull the next un-started app
-//! off a shared atomic index, so one slow app no longer stalls a whole
-//! chunk's worth of siblings.
-//!
-//! Fault isolation: each app runs under [`std::panic::catch_unwind`]. A
-//! panicking app yields [`AppOutcome::Panicked`] while every other app
-//! still completes — the suite never aborts. A per-app wall-clock
-//! deadline ([`crate::FragDroidConfig::app_deadline`]) surfaces as
-//! [`AppOutcome::DeadlineExceeded`], keeping the partial report.
-//!
-//! Every run also produces a [`SuiteMetrics`] record (per-app wall time,
-//! event throughput, worker utilization) that serializes to JSON.
+//! Workers pull the next un-started app off a shared atomic index, so
+//! one slow app never stalls its siblings. Each app runs under
+//! [`std::panic::catch_unwind`]: a panicking app yields
+//! [`AppOutcome::Panicked`] while every other app still completes, and a
+//! per-app deadline ([`crate::FragDroidConfig::app_deadline`]) yields
+//! [`AppOutcome::DeadlineExceeded`] with the partial report. Every run
+//! also produces a [`SuiteMetrics`] record (per-app wall time, event
+//! throughput, worker utilization) that serializes to JSON.
 
+use crate::checkpoint::{
+    failure_kind, retry_passes, triage_with, CheckpointOptions, CheckpointedSuite, FlakeSummary,
+    JournalError, JournalRecord, OutcomeRef,
+};
 use crate::config::FragDroidConfig;
 use crate::driver::FragDroid;
+use crate::lock;
 use crate::report::RunReport;
 use fd_apk::AndroidApp;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// One app plus its analyst-provided inputs.
@@ -233,7 +232,7 @@ impl SuiteRun {
 /// payload) and its wall time.
 pub type EngineSlot<T> = (Result<T, String>, Duration);
 
-/// The generic work-stealing engine underneath [`run_suite_outcomes`] —
+/// The generic work-stealing engine underneath [`run`] —
 /// public so callers with non-`RunReport` jobs (and the runner tests) can
 /// drive arbitrary closures through the same scheduling and isolation.
 pub mod engine {
@@ -252,22 +251,14 @@ pub mod engine {
         pub busy: Duration,
     }
 
-    /// Runs `job(0..n)` across `workers` threads with work stealing:
-    /// each idle worker claims the next un-started index from a shared
-    /// atomic counter. Panics inside `job` are caught per index and
-    /// surface as `Err(message)` in that index's slot; the other indices
-    /// are unaffected. Results come back in input order.
-    pub fn run_indexed<T, F>(n: usize, workers: usize, job: F) -> EngineRun<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        run_indexed_tagged(n, workers, |_worker, index| job(index))
-    }
-
-    /// [`run_indexed`] where the job also learns which worker *lane*
+    /// Runs `job(lane, 0..n)` across `workers` threads with work
+    /// stealing: each idle worker claims the next un-started index from a
+    /// shared atomic counter, and the job learns which worker *lane*
     /// (`0..workers`) runs it — the hook per-lane consumers (a tracer
-    /// track per thread, say) need to stay lock-free.
+    /// track per thread, say) need to stay lock-free. Panics inside `job`
+    /// are caught per index and surface as `Err(message)` in that
+    /// index's slot; the other indices are unaffected. Results come back
+    /// in input order.
     pub fn run_indexed_tagged<T, F>(n: usize, workers: usize, job: F) -> EngineRun<T>
     where
         T: Send,
@@ -360,9 +351,9 @@ pub mod engine {
         std::thread::available_parallelism().map(|p| p.get()).unwrap_or(4).min(n.max(1))
     }
 
-    /// Renders a caught panic payload. `pub(crate)` so the checkpointed
-    /// runner's own isolation layer reports identically.
-    pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    /// Renders a caught panic payload. Shared with [`super::run`]'s own
+    /// per-app isolation layer so both report identically.
+    pub(super) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         if let Some(s) = payload.downcast_ref::<&str>() {
             (*s).to_string()
         } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -373,121 +364,266 @@ pub mod engine {
     }
 }
 
-/// Runs FragDroid over many apps on the work-stealing engine, returning
-/// per-app [`AppOutcome`]s in input order plus [`SuiteMetrics`]. A
-/// panicking app is isolated to its own slot; a deadline-limited app
-/// keeps its partial report.
-pub fn run_suite_outcomes(apps: &[SuiteApp], config: &FragDroidConfig) -> SuiteRun {
-    run_suite_with_workers(apps, config, engine::default_workers(apps.len()))
+/// What a suite runs over.
+#[derive(Clone, Copy)]
+pub enum SuiteSource<'a> {
+    /// Already-decoded apps: no decode spans or cost, and rejection is
+    /// impossible.
+    Apps(&'a [SuiteApp]),
+    /// A corpus fetched one entry at a time: each slot is materialized
+    /// and decoded on the worker that runs it, dropped when the run
+    /// ends, and quarantined as [`AppOutcome::Rejected`] when the
+    /// ingestion frontier refuses it.
+    Corpus(&'a dyn CorpusSource),
 }
 
-/// [`run_suite_outcomes`] with an explicit worker count (1 reproduces a
-/// sequential run exactly).
-pub fn run_suite_with_workers(
-    apps: &[SuiteApp],
-    config: &FragDroidConfig,
-    workers: usize,
-) -> SuiteRun {
-    run_suite_traced(apps, config, workers, &fd_trace::TraceConfig::off()).0
+/// How to run a suite. `SuiteOptions::default()` is a plain run: one
+/// worker per core, no tracing, a device pool built from the config, no
+/// journal, no flake triage.
+#[derive(Clone, Copy, Default)]
+pub struct SuiteOptions<'a> {
+    /// Worker threads; `0` means [`engine::default_workers`].
+    pub workers: usize,
+    /// Tracing: a private tracer per worker lane (its Chrome `tid`), an
+    /// App span per app, a Suite span on a coordinator track. Off
+    /// records nothing and leaves every report byte-identical.
+    pub trace: fd_trace::TraceConfig,
+    /// A caller-built device pool (kill injection, test doubles) with at
+    /// least `workers` lanes; by default one is built from the config.
+    pub pool: Option<&'a crate::pool::DevicePool>,
+    /// Journal every completed app; on resume, restore the journaled
+    /// slots byte-identically instead of re-running them.
+    pub checkpoint: Option<&'a CheckpointOptions>,
+    /// Re-run failed apps this many times after a complete run and
+    /// classify them deterministic vs flaky.
+    pub flake_retries: usize,
 }
 
-/// [`run_suite_with_workers`] under a trace configuration.
+/// Runs FragDroid over a suite on the work-stealing engine — the one
+/// entry point every multi-app run goes through. Outcomes come back in
+/// input order; a panicking app is isolated to its own
+/// [`AppOutcome::Panicked`] slot and a refused container is quarantined
+/// as [`AppOutcome::Rejected`]. The corpus is fingerprinted only when a
+/// journal is opened.
 ///
-/// Every worker lane owns a private tracer (one ring buffer per app run,
-/// no locks on the hot path; the lane index becomes the Chrome `tid`).
-/// Each app's run is wrapped in a [`fd_trace::Phase::App`] span named
-/// after its package, and a coordinator track brackets the whole suite in
-/// a [`fd_trace::Phase::Suite`] span. Per-app tracks merge into the
-/// returned [`fd_trace::Trace`] in input order; a panicked app's track is
-/// lost with the run (its slot still reports [`AppOutcome::Panicked`]).
-///
-/// With [`fd_trace::TraceConfig::off`] this *is* `run_suite_with_workers`
-/// — the same code path, an empty trace, and byte-identical reports
-/// (property-tested in `tests/trace_prop.rs`).
-pub fn run_suite_traced(
-    apps: &[SuiteApp],
+/// # Errors
+/// A typed [`JournalError`] when the journal cannot be created, resumed,
+/// fingerprint-matched or appended; without one the run cannot fail.
+pub fn run(
+    input: SuiteSource<'_>,
     config: &FragDroidConfig,
-    workers: usize,
-    trace_config: &fd_trace::TraceConfig,
-) -> (SuiteRun, fd_trace::Trace) {
-    run_traced_inner(&SuiteSource::Apps(apps), config, workers, trace_config, None)
+    options: &SuiteOptions<'_>,
+) -> Result<(CheckpointedSuite, fd_trace::Trace), JournalError> {
+    let source = &input;
+    let n = source.len();
+    let workers = match options.workers {
+        0 => engine::default_workers(n),
+        workers => workers,
+    };
+    let flake_retries = options.flake_retries;
+
+    // Open or resume the journal.
+    let mut restored: BTreeMap<usize, (AppOutcome, AppMetrics)> = BTreeMap::new();
+    let mut journaled_flakes: Option<FlakeSummary> = None;
+    let mut torn_tail_bytes = 0u64;
+    let journal = match options.checkpoint {
+        None => None,
+        Some(checkpoint) => {
+            let (journal, loaded) = checkpoint.open(source, config, flake_retries)?;
+            if let Some(loaded) = loaded {
+                torn_tail_bytes = loaded.torn_tail_bytes;
+                restored = loaded.slots;
+                journaled_flakes = loaded.flakes;
+            }
+            Some(Mutex::new(journal))
+        }
+    };
+
+    let resumed = restored.len();
+    let mut remaining: Vec<usize> = (0..n).filter(|i| !restored.contains_key(i)).collect();
+    if let Some(budget) = options.checkpoint.and_then(|o| o.app_budget) {
+        remaining.truncate(budget);
+    }
+    let fresh = remaining.len();
+
+    // Per-lane tracers for the workers; a coordinator lane, one past the
+    // last worker's, for the suite span and the checkpoint/triage events.
+    let trace_config = options.trace;
+    let clock = fd_trace::TraceClock::start();
+    let lanes = workers.min(fresh.max(1)).max(1);
+    let coordinator = fd_trace::Tracer::new(&trace_config, clock, lanes as u64);
+    let suite_span = coordinator.span(fd_trace::Phase::Suite, "suite");
+    if resumed > 0 || torn_tail_bytes > 0 {
+        coordinator.event(|| fd_trace::TraceEvent::CheckpointResume {
+            skipped: resumed as u64,
+            torn_tail_bytes,
+        });
+    }
+
+    // One device lane per worker lane, so a worker only ever touches its
+    // own devices and leases never contend; triage re-runs use lane 0
+    // after the engine drained.
+    let default_pool;
+    let pool = match options.pool {
+        Some(pool) => pool,
+        None => {
+            default_pool = crate::pool::DevicePool::from_config(config, lanes);
+            &default_pool
+        }
+    };
+
+    let remaining_ref = &remaining;
+    let journal_ref = &journal;
+    let engine_run = engine::run_indexed_tagged(fresh, workers, |worker, k| {
+        let index = remaining_ref[k];
+        let tracer = fd_trace::Tracer::new(&trace_config, clock, worker as u64);
+        // Catch panics *here* (inside the engine's own isolation) so a
+        // panicked app still gets its journal record: the engine's
+        // catch_unwind only fires if this closure itself dies.
+        let started = Instant::now();
+        let job =
+            catch_unwind(AssertUnwindSafe(|| source.run_one(index, config, &tracer, pool, worker)))
+                .map_err(|payload| engine::panic_message(payload.as_ref()));
+        let elapsed = started.elapsed();
+        let (outcome, package) = slot_outcome(job, source, index);
+        let metrics = slot_metrics(&outcome, package, elapsed);
+        if let Some(journal) = journal_ref {
+            // A failure latches in the journal and surfaces at the end.
+            let appended =
+                lock(journal).append(&OutcomeRef { index, metrics: &metrics, outcome: &outcome });
+            if appended.is_ok() {
+                tracer.event(|| fd_trace::TraceEvent::CheckpointWrite { index: index as u64 });
+            }
+        }
+        (outcome, metrics, tracer.finish())
+    });
+
+    // Merge restored and fresh slots, in input order.
+    let mut slots = restored;
+    let mut tracks = Vec::new();
+    for (k, (result, _elapsed)) in engine_run.results.into_iter().enumerate() {
+        let index = remaining[k];
+        match result {
+            Ok((outcome, metrics, track)) => {
+                tracks.push(track);
+                slots.insert(index, (outcome, metrics));
+            }
+            Err(message) => {
+                // Only reachable if a worker died outside job isolation;
+                // the slot degrades to a panic outcome.
+                let outcome = AppOutcome::Panicked { message };
+                let metrics = slot_metrics(&outcome, source.name_of(index), Duration::ZERO);
+                slots.insert(index, (outcome, metrics));
+            }
+        }
+    }
+
+    // Flake triage: only once the whole corpus has outcomes. A fully
+    // resumed run reuses the journaled verdicts — zero remaining work
+    // means zero re-runs, and the report is byte-identical to the
+    // uninterrupted one.
+    let flake_summary = if flake_retries > 0 && slots.len() == n {
+        match journaled_flakes {
+            Some(summary) if fresh == 0 => Some(summary),
+            _ => {
+                let candidates: Vec<(usize, String, &'static str)> = slots
+                    .iter()
+                    .filter_map(|(index, (outcome, metrics))| {
+                        failure_kind(outcome).map(|kind| (*index, metrics.package.clone(), kind))
+                    })
+                    .collect();
+                let summary = triage_with(&candidates, flake_retries, &coordinator, |index, _| {
+                    retry_passes(source, index, config, pool)
+                });
+                if let Some(journal) = &journal {
+                    let _latched = lock(journal).append(&JournalRecord::Flakes(summary.clone()));
+                }
+                Some(summary)
+            }
+        }
+    } else {
+        None
+    };
+
+    suite_span.end();
+    let mut trace = fd_trace::Trace::new("fragdroid-suite");
+    trace.absorb(coordinator.finish());
+    for track in tracks {
+        trace.absorb(track);
+    }
+
+    // Flush the last batch; the first append failure, if any, is the
+    // run's error.
+    if let Some(journal) = journal {
+        journal.into_inner().unwrap_or_else(|poisoned| poisoned.into_inner()).sync()?;
+    }
+
+    let mut outcomes = Vec::with_capacity(slots.len());
+    let mut per_app = Vec::with_capacity(slots.len());
+    for (_, (outcome, metrics)) in slots {
+        outcomes.push(outcome);
+        per_app.push(metrics);
+    }
+    let mut metrics = assemble_metrics(
+        per_app,
+        engine_run.workers,
+        engine_run.wall,
+        engine_run.busy,
+        pool.incidents(),
+    );
+    metrics.flake_summary = flake_summary;
+
+    Ok((
+        CheckpointedSuite {
+            run: SuiteRun { outcomes, metrics },
+            total: n,
+            resumed,
+            fresh,
+            torn_tail_bytes,
+        },
+        trace,
+    ))
 }
 
-/// Runs FragDroid over *packed containers*: each worker decodes its
-/// container on the spot and only then explores it. A container the
-/// checked decoder refuses (truncated, bad length field, packed, corrupt
-/// JSON, unparsable smali) is quarantined as [`AppOutcome::Rejected`]
-/// with the typed diagnostic — it never reaches the driver, never
-/// panics, and is counted in [`SuiteMetrics::rejected`]. This is the
-/// ingestion frontier the suite-level experiments go through.
-pub fn run_container_suite_outcomes(
-    containers: &[SuiteContainer],
-    config: &FragDroidConfig,
-) -> SuiteRun {
-    run_container_suite_traced(
-        containers,
-        config,
-        engine::default_workers(containers.len()),
-        &fd_trace::TraceConfig::off(),
-    )
-    .0
-}
-
-/// [`run_container_suite_outcomes`] with an explicit worker count and
-/// trace configuration. Each rejection emits a
-/// [`fd_trace::TraceEvent::InputRejected`] on the worker's track.
+/// [`run`] over packed containers, without a journal. Kept, with this
+/// signature, for the frozen `perfbench/` harness that calls it by name.
 pub fn run_container_suite_traced(
     containers: &[SuiteContainer],
     config: &FragDroidConfig,
     workers: usize,
     trace_config: &fd_trace::TraceConfig,
 ) -> (SuiteRun, fd_trace::Trace) {
-    run_traced_inner(&SuiteSource::Containers(containers), config, workers, trace_config, None)
+    run_corpus_suite_traced(&containers, config, workers, trace_config)
 }
 
-/// [`run_container_suite_traced`] against a caller-built
-/// [`crate::pool::DevicePool`] — the hook for custom device factories
-/// (kill-injection in CI, test doubles). The pool should have at least
-/// `workers` lanes; [`SuiteMetrics::device_incidents`] reflects the
-/// pool's incident count after the run.
-pub fn run_container_suite_pooled(
-    containers: &[SuiteContainer],
-    config: &FragDroidConfig,
-    workers: usize,
-    trace_config: &fd_trace::TraceConfig,
-    pool: &crate::pool::DevicePool,
-) -> (SuiteRun, fd_trace::Trace) {
-    run_traced_inner(
-        &SuiteSource::Containers(containers),
-        config,
-        workers,
-        trace_config,
-        Some(pool),
-    )
-}
-
-/// [`run_container_suite_traced`] over a lazily fetched
-/// [`CorpusSource`] — on-disk corpora, shard sub-ranges, pack-on-demand
-/// generators. Only the entries currently running are resident.
+/// [`run`] over a [`CorpusSource`], without a journal. Kept, with this
+/// signature, for the frozen `perfbench/` harness that calls it by name.
 pub fn run_corpus_suite_traced(
     source: &dyn CorpusSource,
     config: &FragDroidConfig,
     workers: usize,
     trace_config: &fd_trace::TraceConfig,
 ) -> (SuiteRun, fd_trace::Trace) {
-    run_traced_inner(&SuiteSource::Lazy(source), config, workers, trace_config, None)
+    let options = SuiteOptions { workers, trace: *trace_config, ..SuiteOptions::default() };
+    let (suite, trace) = run(SuiteSource::Corpus(source), config, &options)
+        .expect("a suite run without a journal has nothing to fail");
+    (suite.run, trace)
 }
 
-/// [`run_corpus_suite_traced`] against a caller-built
-/// [`crate::pool::DevicePool`].
-pub fn run_corpus_suite_pooled(
+/// [`run`] over a [`CorpusSource`] with a journal and flake triage. Kept,
+/// with this signature, for the frozen `perfbench/` harness that calls
+/// it by name.
+pub fn run_corpus_suite_checkpointed(
     source: &dyn CorpusSource,
     config: &FragDroidConfig,
     workers: usize,
     trace_config: &fd_trace::TraceConfig,
-    pool: &crate::pool::DevicePool,
-) -> (SuiteRun, fd_trace::Trace) {
-    run_traced_inner(&SuiteSource::Lazy(source), config, workers, trace_config, Some(pool))
+    checkpoint: Option<&CheckpointOptions>,
+    flake_retries: usize,
+) -> Result<(CheckpointedSuite, fd_trace::Trace), JournalError> {
+    let options =
+        SuiteOptions { workers, trace: *trace_config, checkpoint, flake_retries, pool: None };
+    run(SuiteSource::Corpus(source), config, &options)
 }
 
 /// A corpus the suite streams one entry at a time instead of requiring
@@ -512,8 +648,8 @@ pub trait CorpusSource: Sync {
     /// inputs.
     fn fetch(&self, index: usize) -> Result<SuiteContainer, String>;
 
-    /// The streaming corpus digest — byte-identical to the eager
-    /// [`SuiteSource`] digest of the same entries. The default streams
+    /// The streaming corpus digest — byte-identical to the in-memory
+    /// container slice's digest of the same entries. The default streams
     /// every entry through [`CorpusSource::fetch`] once; sources with a
     /// cheaper path (a recorded manifest digest, borrowed slices)
     /// should override it.
@@ -521,11 +657,7 @@ pub trait CorpusSource: Sync {
         let mut digest = crate::checkpoint::FNV_OFFSET;
         for index in 0..self.len() {
             let (bytes, inputs) = self.fetch(index)?;
-            digest = crate::checkpoint::fnv1a(digest, &bytes);
-            for (key, value) in &inputs {
-                digest = crate::checkpoint::fnv1a(digest, key.as_bytes());
-                digest = crate::checkpoint::fnv1a(digest, value.as_bytes());
-            }
+            digest = fold_inputs(crate::checkpoint::fnv1a(digest, &bytes), &inputs);
         }
         Ok(digest)
     }
@@ -545,7 +677,11 @@ impl CorpusSource for [SuiteContainer] {
     }
 
     fn digest(&self) -> Result<u64, String> {
-        SuiteSource::Containers(self).digest()
+        let mut digest = crate::checkpoint::FNV_OFFSET;
+        for (bytes, inputs) in self {
+            digest = fold_inputs(crate::checkpoint::fnv1a(digest, bytes), inputs);
+        }
+        Ok(digest)
     }
 }
 
@@ -563,6 +699,31 @@ impl CorpusSource for Vec<SuiteContainer> {
     fn digest(&self) -> Result<u64, String> {
         CorpusSource::digest(self.as_slice())
     }
+}
+
+/// A reference to a corpus is a corpus — so a borrowed container slice
+/// can be handed over as `&dyn CorpusSource`.
+impl<S: CorpusSource + ?Sized> CorpusSource for &S {
+    fn len(&self) -> usize {
+        (**self).len()
+    }
+
+    fn fetch(&self, index: usize) -> Result<SuiteContainer, String> {
+        (**self).fetch(index)
+    }
+
+    fn digest(&self) -> Result<u64, String> {
+        (**self).digest()
+    }
+}
+
+/// Folds one entry's analyst inputs into a corpus digest.
+fn fold_inputs(mut digest: u64, inputs: &BTreeMap<String, String>) -> u64 {
+    for (key, value) in inputs {
+        digest = crate::checkpoint::fnv1a(digest, key.as_bytes());
+        digest = crate::checkpoint::fnv1a(digest, value.as_bytes());
+    }
+    digest
 }
 
 /// An on-disk FDCS corpus streams entries by seek + read; the digest
@@ -583,27 +744,12 @@ impl CorpusSource for fd_apk::corpus::CorpusReader {
     }
 }
 
-/// The input shapes a suite can run over, unified so the plain and
-/// checkpointed runners share one job body (decode, explore, quarantine)
-/// and one corpus fingerprint.
-pub(crate) enum SuiteSource<'a> {
-    /// Already-decoded apps: rejection is impossible.
-    Apps(&'a [SuiteApp]),
-    /// Packed containers: each worker decodes on the spot and rejected
-    /// inputs are quarantined.
-    Containers(&'a [SuiteContainer]),
-    /// A lazily fetched corpus: each slot is materialized on the worker
-    /// that runs it and dropped when the run ends.
-    Lazy(&'a dyn CorpusSource),
-}
-
 impl SuiteSource<'_> {
     /// Number of input slots.
     pub(crate) fn len(&self) -> usize {
         match self {
             SuiteSource::Apps(apps) => apps.len(),
-            SuiteSource::Containers(containers) => containers.len(),
-            SuiteSource::Lazy(source) => source.len(),
+            SuiteSource::Corpus(source) => source.len(),
         }
     }
 
@@ -611,7 +757,7 @@ impl SuiteSource<'_> {
     pub(crate) fn name_of(&self, index: usize) -> String {
         match self {
             SuiteSource::Apps(apps) => apps[index].0.manifest.package.clone(),
-            SuiteSource::Containers(_) | SuiteSource::Lazy(_) => format!("container[{index}]"),
+            SuiteSource::Corpus(_) => format!("container[{index}]"),
         }
     }
 
@@ -631,20 +777,9 @@ impl SuiteSource<'_> {
         match self {
             SuiteSource::Apps(apps) => {
                 let (app, inputs) = &apps[index];
-                let report = {
-                    let _app = tracer.span(fd_trace::Phase::App, &app.manifest.package);
-                    let tool = FragDroid::new(config.clone());
-                    pool.run_app(lane, tracer, |device| {
-                        tool.run_traced_on(app, inputs, tracer, device)
-                    })
-                };
-                Ok((report, app.manifest.package.clone()))
+                Ok(explore(app, inputs, config, tracer, pool, lane))
             }
-            SuiteSource::Containers(containers) => {
-                let (bytes, inputs) = &containers[index];
-                run_container_slot(bytes, inputs, config, tracer, pool, lane)
-            }
-            SuiteSource::Lazy(source) => match source.fetch(index) {
+            SuiteSource::Corpus(source) => match source.fetch(index) {
                 Ok((bytes, inputs)) => {
                     run_container_slot(&bytes, &inputs, config, tracer, pool, lane)
                 }
@@ -659,35 +794,40 @@ impl SuiteSource<'_> {
     /// FNV-1a digest of the corpus content (container bytes or packed
     /// apps, plus the analyst inputs) — one half of the journal
     /// fingerprint that stops a resume against a different corpus. A
-    /// lazy source that cannot be streamed surfaces its reason instead
-    /// of a digest.
+    /// corpus that cannot be streamed surfaces its reason instead of a
+    /// digest.
     pub(crate) fn digest(&self) -> Result<u64, String> {
-        let mut digest = crate::checkpoint::FNV_OFFSET;
-        let fold_inputs = |digest: &mut u64, inputs: &BTreeMap<String, String>| {
-            for (key, value) in inputs {
-                *digest = crate::checkpoint::fnv1a(*digest, key.as_bytes());
-                *digest = crate::checkpoint::fnv1a(*digest, value.as_bytes());
-            }
-        };
         match self {
             SuiteSource::Apps(apps) => {
+                let mut digest = crate::checkpoint::FNV_OFFSET;
                 let mut packed = bytes::BytesMut::new();
                 for (app, inputs) in *apps {
                     fd_apk::pack_into(app, &mut packed);
                     digest = crate::checkpoint::fnv1a(digest, &packed);
-                    fold_inputs(&mut digest, inputs);
+                    digest = fold_inputs(digest, inputs);
                 }
+                Ok(digest)
             }
-            SuiteSource::Containers(containers) => {
-                for (bytes, inputs) in *containers {
-                    digest = crate::checkpoint::fnv1a(digest, bytes);
-                    fold_inputs(&mut digest, inputs);
-                }
-            }
-            SuiteSource::Lazy(source) => digest = source.digest()?,
+            SuiteSource::Corpus(source) => source.digest(),
         }
-        Ok(digest)
     }
+}
+
+/// Explores one decoded app, under an App span, on a device leased from
+/// `pool` lane `lane`; returns the report and the app's package.
+fn explore(
+    app: &AndroidApp,
+    inputs: &BTreeMap<String, String>,
+    config: &FragDroidConfig,
+    tracer: &fd_trace::Tracer,
+    pool: &crate::pool::DevicePool,
+    lane: usize,
+) -> (RunReport, String) {
+    let _app = tracer.span(fd_trace::Phase::App, &app.manifest.package);
+    let tool = FragDroid::new(config.clone());
+    let report =
+        pool.run_app(lane, tracer, |device| tool.run_traced_on(app, inputs, tracer, device));
+    (report, app.manifest.package.clone())
 }
 
 /// The shared container slot body: decode through the ingestion
@@ -702,16 +842,7 @@ pub(crate) fn run_container_slot(
     lane: usize,
 ) -> Result<(RunReport, String), String> {
     match fd_apk::decompile_traced(bytes, tracer) {
-        Ok(app) => {
-            let report = {
-                let _app = tracer.span(fd_trace::Phase::App, &app.manifest.package);
-                let tool = FragDroid::new(config.clone());
-                pool.run_app(lane, tracer, |device| {
-                    tool.run_traced_on(&app, inputs, tracer, device)
-                })
-            };
-            Ok((report, app.manifest.package))
-        }
+        Ok(app) => Ok(explore(&app, inputs, config, tracer, pool, lane)),
         Err(error) => {
             let reason = error.to_string();
             tracer.event(|| fd_trace::TraceEvent::InputRejected { reason: reason.clone() });
@@ -723,7 +854,7 @@ pub(crate) fn run_container_slot(
 /// Classifies one engine slot into its outcome. `from_engine` is the
 /// per-slot result: `Ok` carries the job's own verdict (run or
 /// rejection), `Err` a caught panic message.
-pub(crate) fn slot_outcome(
+fn slot_outcome(
     from_engine: Result<Result<(RunReport, String), String>, String>,
     source: &SuiteSource<'_>,
     index: usize,
@@ -811,93 +942,6 @@ pub(crate) fn assemble_metrics(
     }
 }
 
-/// The shared body of the app- and container-level suites: the work-
-/// stealing engine, per-lane tracers, and the outcome/metrics assembly.
-/// A panic inside a slot surfaces as [`AppOutcome::Panicked`] via the
-/// engine's isolation.
-fn run_traced_inner(
-    source: &SuiteSource<'_>,
-    config: &FragDroidConfig,
-    workers: usize,
-    trace_config: &fd_trace::TraceConfig,
-    pool: Option<&crate::pool::DevicePool>,
-) -> (SuiteRun, fd_trace::Trace) {
-    let n = source.len();
-    let trace_config = *trace_config;
-    let clock = fd_trace::TraceClock::start();
-    // Coordinator track: one lane past the last worker's.
-    let worker_lanes = workers.min(n.max(1)).max(1);
-    let coordinator_lane = worker_lanes as u64;
-    let coordinator = fd_trace::Tracer::new(&trace_config, clock, coordinator_lane);
-    let suite_span = coordinator.span(fd_trace::Phase::Suite, "suite");
-
-    // One device lane per worker lane, so a worker only ever touches its
-    // own devices and leases never contend.
-    let default_pool;
-    let pool = match pool {
-        Some(pool) => pool,
-        None => {
-            default_pool = crate::pool::DevicePool::from_config(config, worker_lanes);
-            &default_pool
-        }
-    };
-
-    let engine_run = engine::run_indexed_tagged(n, workers, |worker, index| {
-        let tracer = fd_trace::Tracer::new(&trace_config, clock, worker as u64);
-        let result = source.run_one(index, config, &tracer, pool, worker);
-        (result, tracer.finish())
-    });
-
-    suite_span.end();
-    let mut trace = fd_trace::Trace::new("fragdroid-suite");
-    trace.absorb(coordinator.finish());
-
-    let wall = engine_run.wall;
-    let busy = engine_run.busy;
-    let workers_used = engine_run.workers;
-
-    let mut outcomes = Vec::with_capacity(n);
-    let mut per_app = Vec::with_capacity(n);
-    for (index, (result, elapsed)) in engine_run.results.into_iter().enumerate() {
-        let from_engine = result.map(|(job_result, track)| {
-            trace.absorb(track);
-            job_result
-        });
-        let (outcome, package) = slot_outcome(from_engine, source, index);
-        per_app.push(slot_metrics(&outcome, package, elapsed));
-        outcomes.push(outcome);
-    }
-
-    let run = SuiteRun {
-        outcomes,
-        metrics: assemble_metrics(per_app, workers_used, wall, busy, pool.incidents()),
-    };
-    (run, trace)
-}
-
-/// Runs FragDroid over many apps in parallel, returning reports in input
-/// order. Determinism is unaffected: each app's run is self-contained.
-///
-/// This is the legacy strict entry point: a panic in any app is
-/// propagated (after every other app finished). Callers that want
-/// fault isolation or metrics use [`run_suite_outcomes`].
-pub fn run_suite(apps: &[SuiteApp], config: &FragDroidConfig) -> Vec<RunReport> {
-    run_suite_outcomes(apps, config)
-        .outcomes
-        .into_iter()
-        .map(|outcome| match outcome {
-            AppOutcome::Completed(r) | AppOutcome::DeadlineExceeded(r) => r,
-            AppOutcome::Panicked { message } => {
-                panic!("suite app panicked: {message}")
-            }
-            // App-level suites never reject: the inputs are already apps.
-            AppOutcome::Rejected { reason } => {
-                panic!("suite input rejected: {reason}")
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -913,13 +957,30 @@ mod tests {
         .collect()
     }
 
+    /// A journal-free [`run`] over apps.
+    fn run_apps(
+        apps: &[SuiteApp],
+        config: &FragDroidConfig,
+        workers: usize,
+        trace: fd_trace::TraceConfig,
+    ) -> (SuiteRun, fd_trace::Trace) {
+        let options = SuiteOptions { workers, trace, ..SuiteOptions::default() };
+        let (suite, trace) = run(SuiteSource::Apps(apps), config, &options).expect("no journal");
+        (suite.run, trace)
+    }
+
+    fn plain(apps: &[SuiteApp], config: &FragDroidConfig, workers: usize) -> SuiteRun {
+        run_apps(apps, config, workers, fd_trace::TraceConfig::off()).0
+    }
+
     #[test]
     fn suite_results_are_in_order_and_match_single_runs() {
         let apps = template_apps();
         let config = FragDroidConfig::default();
-        let parallel = run_suite(&apps, &config);
+        let parallel = plain(&apps, &config, 0).outcomes;
         assert_eq!(parallel.len(), 3);
-        for ((app, inputs), report) in apps.iter().zip(&parallel) {
+        for ((app, inputs), outcome) in apps.iter().zip(&parallel) {
+            let report = outcome.report().expect("template apps complete");
             let single = FragDroid::new(config.clone()).run(app, inputs);
             assert_eq!(single.visited_activities, report.visited_activities);
             assert_eq!(single.visited_fragments, report.visited_fragments);
@@ -929,8 +990,7 @@ mod tests {
 
     #[test]
     fn empty_suite_is_fine() {
-        assert!(run_suite(&[], &FragDroidConfig::default()).is_empty());
-        let run = run_suite_outcomes(&[], &FragDroidConfig::default());
+        let run = plain(&[], &FragDroidConfig::default(), 0);
         assert!(run.outcomes.is_empty());
         assert_eq!(run.metrics.workers, 0);
         assert!(run.metrics.apps.is_empty());
@@ -940,8 +1000,8 @@ mod tests {
     fn single_worker_matches_default_run() {
         let apps = template_apps();
         let config = FragDroidConfig::default();
-        let sequential = run_suite_with_workers(&apps, &config, 1);
-        let parallel = run_suite_outcomes(&apps, &config);
+        let sequential = plain(&apps, &config, 1);
+        let parallel = plain(&apps, &config, 0);
         for (a, b) in sequential.outcomes.iter().zip(&parallel.outcomes) {
             let (a, b) = (a.report().unwrap(), b.report().unwrap());
             assert_eq!(
@@ -954,7 +1014,7 @@ mod tests {
 
     #[test]
     fn panicking_job_is_isolated_from_siblings() {
-        let run = engine::run_indexed(5, 4, |i| {
+        let run = engine::run_indexed_tagged(5, 4, |_, i| {
             if i == 2 {
                 panic!("job {i} exploded");
             }
@@ -981,7 +1041,7 @@ mod tests {
 
     #[test]
     fn engine_results_are_in_input_order() {
-        let run = engine::run_indexed(64, 8, |i| i);
+        let run = engine::run_indexed_tagged(64, 8, |_, i| i);
         let values: Vec<usize> = run.results.into_iter().map(|(r, _)| r.unwrap()).collect();
         assert_eq!(values, (0..64).collect::<Vec<_>>());
     }
@@ -990,7 +1050,7 @@ mod tests {
     fn deadline_exceeded_keeps_partial_report() {
         let apps = template_apps();
         let config = FragDroidConfig::default().with_deadline(Duration::ZERO);
-        let run = run_suite_outcomes(&apps, &config);
+        let run = plain(&apps, &config, 0);
         for outcome in &run.outcomes {
             match outcome {
                 AppOutcome::DeadlineExceeded(report) => {
@@ -1008,7 +1068,7 @@ mod tests {
     #[test]
     fn suite_metrics_roundtrip_through_json() {
         let apps = template_apps();
-        let run = run_suite_outcomes(&apps, &FragDroidConfig::default());
+        let run = plain(&apps, &FragDroidConfig::default(), 0);
         let metrics = &run.metrics;
         assert_eq!(metrics.apps.len(), 3);
         assert!(metrics.workers >= 1);
@@ -1055,7 +1115,7 @@ mod tests {
     fn traced_suite_produces_spans_and_disabled_trace_is_empty() {
         let apps = template_apps();
         let config = FragDroidConfig::default();
-        let (run, trace) = run_suite_traced(&apps, &config, 2, &fd_trace::TraceConfig::on());
+        let (run, trace) = run_apps(&apps, &config, 2, fd_trace::TraceConfig::on());
         assert_eq!(run.outcomes.len(), 3);
         // One Suite span, one App span per app, and Static/Explore below.
         let spans: Vec<&fd_trace::SpanRecord> = trace
@@ -1077,7 +1137,7 @@ mod tests {
             "events recorded"
         );
 
-        let (_, off_trace) = run_suite_traced(&apps, &config, 2, &fd_trace::TraceConfig::off());
+        let (_, off_trace) = run_apps(&apps, &config, 2, fd_trace::TraceConfig::off());
         assert!(off_trace.records.is_empty(), "disabled tracing records nothing");
     }
 
@@ -1091,7 +1151,9 @@ mod tests {
         let truncated = fd_apk::pack(&apps[0].0).slice(0..10);
         containers.push((truncated, BTreeMap::new()));
 
-        let run = run_container_suite_outcomes(&containers, &config);
+        let options = SuiteOptions::default();
+        let run =
+            run(SuiteSource::Corpus(&containers), &config, &options).expect("no journal").0.run;
         assert_eq!(run.outcomes.len(), 5);
         assert_eq!(run.metrics.rejected, 2, "both malformed inputs quarantined");
         for bad in [1usize, 4] {
@@ -1110,7 +1172,7 @@ mod tests {
         // The well-formed siblings still produce byte-identical reports
         // to the app-level suite: decode is lossless and rejection is
         // isolation, not interference.
-        let app_run = run_suite_outcomes(&apps, &config);
+        let app_run = plain(&apps, &config, 0);
         for (container_index, app_index) in [(0usize, 0usize), (2, 1), (3, 2)] {
             let a = run.outcomes[container_index].report().expect("well-formed input ran");
             let b = app_run.outcomes[app_index].report().unwrap();
@@ -1122,13 +1184,15 @@ mod tests {
     fn container_suite_traces_rejections() {
         let containers: Vec<SuiteContainer> =
             vec![(bytes::Bytes::from_static(b"garbage"), BTreeMap::new())];
-        let (run, trace) = run_container_suite_traced(
-            &containers,
-            &FragDroidConfig::default(),
-            1,
-            &fd_trace::TraceConfig::on(),
-        );
-        assert_eq!(run.metrics.rejected, 1);
+        let options = SuiteOptions {
+            workers: 1,
+            trace: fd_trace::TraceConfig::on(),
+            ..SuiteOptions::default()
+        };
+        let (suite, trace) =
+            run(SuiteSource::Corpus(&containers), &FragDroidConfig::default(), &options)
+                .expect("no journal");
+        assert_eq!(suite.run.metrics.rejected, 1);
         let rejected_events = trace
             .records
             .iter()
@@ -1143,12 +1207,53 @@ mod tests {
         assert_eq!(rejected_events, 1, "each rejection is traced once");
     }
 
+    /// A corpus whose digest always fails, counting how often it is asked.
+    struct DigestlessCorpus {
+        entries: Vec<SuiteContainer>,
+        digests: AtomicUsize,
+    }
+
+    impl CorpusSource for DigestlessCorpus {
+        fn len(&self) -> usize {
+            self.entries.len()
+        }
+
+        fn fetch(&self, index: usize) -> Result<SuiteContainer, String> {
+            self.entries.fetch(index)
+        }
+
+        fn digest(&self) -> Result<u64, String> {
+            self.digests.fetch_add(1, Ordering::Relaxed);
+            Err("digest unavailable".to_string())
+        }
+    }
+
+    /// The corpus is fingerprinted only to open a journal: a journal-free
+    /// run never asks for the digest, a journaled one fails typed on it.
     #[test]
-    fn legacy_run_suite_propagates_panics() {
-        let result = std::panic::catch_unwind(|| {
-            let run = engine::run_indexed(1, 1, |_| -> usize { panic!("boom") });
-            run.results[0].0.clone().unwrap()
-        });
-        assert!(result.is_err());
+    fn a_run_without_a_journal_never_digests_its_source() {
+        let gen = fd_appgen::templates::quickstart();
+        let source = DigestlessCorpus {
+            entries: vec![(fd_apk::pack(&gen.app), gen.known_inputs)],
+            digests: AtomicUsize::new(0),
+        };
+        let config = FragDroidConfig::default();
+        let (suite, _) = run(SuiteSource::Corpus(&source), &config, &SuiteOptions::default())
+            .expect("a journal-free run needs no digest");
+        assert!(suite.run.outcomes[0].report().is_some());
+        assert_eq!(source.digests.load(Ordering::Relaxed), 0);
+
+        let path = std::env::temp_dir()
+            .join(format!("fd-suite-digestless-{}.journal", std::process::id()));
+        let checkpoint = CheckpointOptions::new(&path);
+        let options = SuiteOptions { checkpoint: Some(&checkpoint), ..SuiteOptions::default() };
+        match run(SuiteSource::Corpus(&source), &config, &options) {
+            Err(JournalError::Io { op: "digest corpus source", error, .. }) => {
+                assert_eq!(error, "digest unavailable")
+            }
+            other => panic!("expected the typed digest error, got {:?}", other.err()),
+        }
+        assert_eq!(source.digests.load(Ordering::Relaxed), 1);
+        assert!(!path.exists(), "no journal is created without a fingerprint");
     }
 }

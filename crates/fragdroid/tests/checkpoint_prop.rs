@@ -8,10 +8,11 @@
 //!    preserved) or fails with a typed [`JournalError`] — never a panic
 //!    and never a silent wrong resume.
 
+use fragdroid::checkpoint::CheckpointedSuite;
 use fragdroid::suite::SuiteContainer;
 use fragdroid::{
-    load_journal, run_container_suite_checkpointed, run_container_suite_traced, CheckpointOptions,
-    FragDroidConfig, JournalError, SuiteRun,
+    load_journal, CheckpointOptions, FragDroidConfig, JournalError, SuiteOptions, SuiteRun,
+    SuiteSource,
 };
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -57,9 +58,23 @@ fn outcome_bytes(run: &SuiteRun) -> Vec<String> {
     run.outcomes.iter().map(|o| serde_json::to_string(o).expect("outcomes serialize")).collect()
 }
 
+/// The suite runner over an in-memory container corpus.
+fn run_journaled(
+    containers: &[SuiteContainer],
+    config: &FragDroidConfig,
+    workers: usize,
+    trace: &fd_trace::TraceConfig,
+    checkpoint: Option<&CheckpointOptions>,
+    flake_retries: usize,
+) -> Result<(CheckpointedSuite, fd_trace::Trace), JournalError> {
+    let options = SuiteOptions { workers, trace: *trace, pool: None, checkpoint, flake_retries };
+    fragdroid::suite::run(SuiteSource::Corpus(&containers), config, &options)
+}
+
 /// Runs the corpus uninterrupted (no journal) as the reference.
 fn reference_run(containers: &[SuiteContainer], config: &FragDroidConfig) -> SuiteRun {
-    run_container_suite_traced(containers, config, 2, &fd_trace::TraceConfig::off()).0
+    let off = fd_trace::TraceConfig::off();
+    run_journaled(containers, config, 2, &off, None, 0).expect("no journal").0.run
 }
 
 mod kill_and_resume {
@@ -81,13 +96,13 @@ mod kill_and_resume {
 
             let path = scratch("resume");
             let first = CheckpointOptions::new(&path).with_app_budget(cutoff);
-            let (partial, _) = run_container_suite_checkpointed(
+            let (partial, _) = run_journaled(
                 &containers, &config, 2, &fd_trace::TraceConfig::off(), Some(&first), 0,
             ).expect("budgeted run journals cleanly");
             prop_assert_eq!(partial.fresh, cutoff.min(containers.len()));
 
             let second = CheckpointOptions::new(&path).with_resume(true);
-            let (full, _) = run_container_suite_checkpointed(
+            let (full, _) = run_journaled(
                 &containers, &config, 2, &fd_trace::TraceConfig::off(), Some(&second), 0,
             ).expect("resume completes the corpus");
             prop_assert!(full.is_complete());
@@ -109,13 +124,13 @@ mod kill_and_resume {
             let path = scratch("zero");
 
             let first = CheckpointOptions::new(&path);
-            let (complete, _) = run_container_suite_checkpointed(
+            let (complete, _) = run_journaled(
                 &containers, &config, 2, &fd_trace::TraceConfig::off(), Some(&first), 2,
             ).expect("full run journals cleanly");
             prop_assert!(complete.is_complete());
 
             let again = CheckpointOptions::new(&path).with_resume(true);
-            let (replayed, _) = run_container_suite_checkpointed(
+            let (replayed, _) = run_journaled(
                 &containers, &config, 2, &fd_trace::TraceConfig::off(), Some(&again), 2,
             ).expect("complete journal replays");
             prop_assert_eq!(replayed.fresh, 0, "no fresh work on a complete journal");
@@ -139,15 +154,9 @@ mod torn_tail {
         let containers = mixed_corpus(3);
         let config = faulty_config(3);
         let opts = CheckpointOptions::new(path);
-        let (complete, _) = run_container_suite_checkpointed(
-            &containers,
-            &config,
-            2,
-            &fd_trace::TraceConfig::off(),
-            Some(&opts),
-            0,
-        )
-        .expect("full run journals cleanly");
+        let (complete, _) =
+            run_journaled(&containers, &config, 2, &fd_trace::TraceConfig::off(), Some(&opts), 0)
+                .expect("full run journals cleanly");
         let bytes = std::fs::read(path).expect("journal readable");
         (bytes, complete.run)
     }
@@ -235,7 +244,7 @@ mod torn_tail {
             let victim = scratch("trunc-resume-victim");
             std::fs::write(&victim, &bytes[..offset]).expect("write truncated copy");
             let opts = CheckpointOptions::new(&victim).with_resume(true);
-            let (resumed, _) = run_container_suite_checkpointed(
+            let (resumed, _) = run_journaled(
                 &containers,
                 &config,
                 2,
@@ -296,7 +305,7 @@ mod refusals {
         let containers = mixed_corpus(3);
         let path = scratch("fpr");
         let opts = CheckpointOptions::new(&path);
-        run_container_suite_checkpointed(
+        run_journaled(
             &containers,
             &faulty_config(3),
             2,
@@ -307,7 +316,7 @@ mod refusals {
         .expect("first run journals");
 
         let resume = CheckpointOptions::new(&path).with_resume(true);
-        let result = run_container_suite_checkpointed(
+        let result = run_journaled(
             &containers,
             &faulty_config(4), // different fault seed
             2,
@@ -324,7 +333,7 @@ mod refusals {
         }
 
         // A different flake budget is part of the fingerprint too.
-        let result = run_container_suite_checkpointed(
+        let result = run_journaled(
             &containers,
             &faulty_config(3),
             2,
@@ -343,25 +352,12 @@ mod refusals {
         let config = faulty_config(1);
         let path = scratch("exists");
         let opts = CheckpointOptions::new(&path);
-        run_container_suite_checkpointed(
-            &containers,
-            &config,
-            1,
-            &fd_trace::TraceConfig::off(),
-            Some(&opts),
-            0,
-        )
-        .expect("first run journals");
+        run_journaled(&containers, &config, 1, &fd_trace::TraceConfig::off(), Some(&opts), 0)
+            .expect("first run journals");
         let before = std::fs::read(&path).expect("journal readable");
 
-        let result = run_container_suite_checkpointed(
-            &containers,
-            &config,
-            1,
-            &fd_trace::TraceConfig::off(),
-            Some(&opts),
-            0,
-        );
+        let result =
+            run_journaled(&containers, &config, 1, &fd_trace::TraceConfig::off(), Some(&opts), 0);
         assert!(matches!(result, Err(JournalError::AlreadyExists { .. })));
         let after = std::fs::read(&path).expect("journal still readable");
         assert_eq!(before, after, "refused overwrite left the journal untouched");
@@ -374,7 +370,7 @@ mod refusals {
     fn unwritable_path_is_a_typed_io_error() {
         let containers = mixed_corpus(1);
         let opts = CheckpointOptions::new("/nonexistent-dir/definitely/not/here/j.ckpt");
-        let result = run_container_suite_checkpointed(
+        let result = run_journaled(
             &containers,
             &faulty_config(1),
             1,

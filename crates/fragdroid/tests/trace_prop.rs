@@ -2,7 +2,20 @@
 //! to produce byte-identical reports, and an enabled tracer's spans must
 //! agree with the suite's own wall-clock metrics.
 
-use fragdroid::{run_suite_traced, FragDroid, FragDroidConfig, SuiteMetrics};
+use fragdroid::{FragDroid, FragDroidConfig, SuiteMetrics, SuiteOptions, SuiteRun, SuiteSource};
+
+/// A journal-free suite run over `apps` under `trace`.
+fn run_apps(
+    apps: &[fragdroid::suite::SuiteApp],
+    config: &FragDroidConfig,
+    workers: usize,
+    trace: &fd_trace::TraceConfig,
+) -> (SuiteRun, fd_trace::Trace) {
+    let options = SuiteOptions { workers, trace: *trace, ..SuiteOptions::default() };
+    let (suite, trace) =
+        fragdroid::suite::run(SuiteSource::Apps(apps), config, &options).expect("no journal");
+    (suite.run, trace)
+}
 
 fn corpus_slice(seed: u64, n: usize) -> Vec<fragdroid::suite::SuiteApp> {
     fd_appgen::corpus::corpus_217(seed)
@@ -55,18 +68,18 @@ mod disabled_is_byte_identical {
             prop_assert!(!track.records.is_empty(), "enabled run did record");
         }
 
-        /// The suite entry points agree the same way: `run_suite_traced`
-        /// with tracing off is byte-identical to the untraced suite, and
+        /// The suite runner agrees the same way: a run with tracing off
+        /// is byte-identical to another untraced run, and
         /// turning tracing on changes the trace, not the outcomes.
         #[test]
         fn suite_reports_unaffected_by_tracing(seed in 0u64..16) {
             let apps = corpus_slice(seed + 1, 3);
             let config = FragDroidConfig::default().with_faults(seed, 0.2);
-            let baseline = fragdroid::run_suite_with_workers(&apps, &config, 2);
+            let baseline = run_apps(&apps, &config, 2, &fd_trace::TraceConfig::off()).0;
             let (off_run, off_trace) =
-                run_suite_traced(&apps, &config, 2, &fd_trace::TraceConfig::off());
+                run_apps(&apps, &config, 2, &fd_trace::TraceConfig::off());
             let (on_run, on_trace) =
-                run_suite_traced(&apps, &config, 2, &fd_trace::TraceConfig::on());
+                run_apps(&apps, &config, 2, &fd_trace::TraceConfig::on());
             prop_assert!(off_trace.records.is_empty());
             prop_assert!(!on_trace.records.is_empty());
             for ((b, off), on) in
@@ -92,7 +105,7 @@ mod disabled_is_byte_identical {
 fn phase_totals_agree_with_suite_metrics() {
     let apps = corpus_slice(3, 6);
     let config = FragDroidConfig::default().with_faults(9, 0.25);
-    let (run, trace) = run_suite_traced(&apps, &config, 2, &fd_trace::TraceConfig::on());
+    let (run, trace) = run_apps(&apps, &config, 2, &fd_trace::TraceConfig::on());
     let summary = fd_trace::TraceSummary::compute(&trace);
 
     let phase_total = summary.top_level_phase_total_us();
@@ -176,7 +189,7 @@ fn phase_totals_agree_with_suite_metrics() {
 #[test]
 fn suite_metrics_quantiles_roundtrip_and_default() {
     let apps = corpus_slice(5, 5);
-    let run = fragdroid::run_suite_with_workers(&apps, &FragDroidConfig::default(), 2);
+    let run = run_apps(&apps, &FragDroidConfig::default(), 2, &Default::default()).0;
     let metrics = &run.metrics;
     assert_eq!(metrics.app_wall_ms_max, metrics.apps.iter().map(|m| m.wall_ms).max().unwrap());
     assert!(metrics.app_wall_ms_p50 <= metrics.app_wall_ms_p95);

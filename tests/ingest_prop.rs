@@ -44,8 +44,12 @@ proptest! {
 
         let containers =
             vec![(fragdroid_repro::apk::pack(&gen.app), gen.known_inputs.clone())];
-        let first = fragdroid_repro::tool::run_container_suite_outcomes(&containers, &config);
-        let second = fragdroid_repro::tool::run_container_suite_outcomes(&containers, &config);
+        let suite = || {
+            let input = fragdroid_repro::tool::SuiteSource::Corpus(&containers);
+            let options = fragdroid_repro::tool::SuiteOptions::default();
+            fragdroid_repro::tool::suite::run(input, &config, &options).expect("no journal").0.run
+        };
+        let (first, second) = (suite(), suite());
         let first_report = first.outcomes[0].report().expect("well-formed input completes");
         let second_report = second.outcomes[0].report().expect("well-formed input completes");
         let first_json = serde_json::to_string(first_report).expect("report serializes");
