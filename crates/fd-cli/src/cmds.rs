@@ -495,38 +495,38 @@ pub fn corpus(argv: &[String]) -> Result<(), CliError> {
         return Ok(());
     }
 
-    // Shard mode runs the shard's slice against its own journal; a
-    // journal failure there is a shard error (exit 4), not exit 3.
-    let slice;
-    let (input, journal_path): (&dyn fragdroid::CorpusSource, _) = match shard_index {
-        Some(index) => {
-            slice = fragdroid::ShardSlice::new(source, shards, index)?;
-            let base = checkpoint_path.expect("checked with --shards above");
-            (&slice, Some(fragdroid::shard_journal_path(std::path::Path::new(base), index, shards)))
-        }
-        None => (source, checkpoint_path.map(std::path::PathBuf::from)),
-    };
-    let opts = journal_path.map(|path| {
+    let opts = checkpoint_path.map(|path| {
         let mut opts = fragdroid::CheckpointOptions::new(path).with_resume(resume);
         if app_budget > 0 {
             opts = opts.with_app_budget(app_budget);
         }
         opts
     });
-    let options = fragdroid::SuiteOptions {
-        workers,
-        trace: trace_config,
-        pool: pool.as_ref(),
-        checkpoint: opts.as_ref(),
-        flake_retries,
+    // Shard mode runs the shard's slice against its own journal; a
+    // journal failure there is a shard error (exit 4), not exit 3.
+    let (suite, trace) = match shard_index {
+        Some(index) => fragdroid::run_shard(
+            source,
+            &config,
+            workers,
+            &trace_config,
+            opts.as_ref().expect("checked with --shards above"),
+            flake_retries,
+            shards,
+            index,
+            pool.as_ref(),
+        )?,
+        None => {
+            let options = fragdroid::SuiteOptions {
+                workers,
+                trace: trace_config,
+                pool: pool.as_ref(),
+                checkpoint: opts.as_ref(),
+                flake_retries,
+            };
+            fragdroid::suite::run(fragdroid::SuiteSource::Corpus(source), &config, &options)?
+        }
     };
-    let (suite, trace) =
-        fragdroid::suite::run(fragdroid::SuiteSource::Corpus(input), &config, &options).map_err(
-            |error| match shard_index {
-                Some(shard) => CliError::from(fragdroid::ShardError::Journal { shard, error }),
-                None => CliError::from(error),
-            },
-        )?;
     let progress = (opts.is_some() || flake_retries > 0)
         .then(|| (suite.resumed, suite.fresh, suite.remaining(), suite.torn_tail_bytes));
     let run = suite.run;

@@ -347,7 +347,7 @@ pub(crate) fn fold(scan: Scan<DispatchRecord>) -> Result<DispatchJournal, Journa
 /// A small, well-formed coordinator journal for fuzz seeds: a header, a
 /// grant per shard, one revoke/quarantine/re-grant episode, and every
 /// shard completed. Pure — no clock, no filesystem.
-pub fn demo_dispatch_journal(seed: u64, shards: usize) -> Vec<u8> {
+pub(crate) fn demo_dispatch_journal(seed: u64, shards: usize) -> Vec<u8> {
     let fingerprint = Fingerprint {
         apps: (shards as u64) * 2,
         corpus_digest: 0xfd15_7a7c_0000_0000 ^ seed,

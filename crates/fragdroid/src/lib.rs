@@ -34,7 +34,7 @@ pub mod codegen;
 pub mod config;
 pub mod dispatch;
 pub mod driver;
-pub mod journal;
+mod journal;
 pub mod pool;
 pub mod queue;
 pub mod report;
@@ -48,11 +48,11 @@ pub use checkpoint::{
 };
 pub use config::FragDroidConfig;
 pub use dispatch::{
-    demo_dispatch_journal, dispatch, parse_dispatch_journal, DispatchError, DispatchJournal,
-    DispatchOptions, DispatchRun, DispatchSummary, WorkerStat, DISPATCH_JOURNAL_VERSION,
+    dispatch, parse_dispatch_journal, DispatchError, DispatchJournal, DispatchOptions, DispatchRun,
+    DispatchSummary, WorkerStat, DISPATCH_JOURNAL_VERSION,
 };
 pub use driver::FragDroid;
-pub use journal::JournalKind;
+pub use journal::{JournalKind, Replayed};
 
 pub use pool::{build_backend, DeviceFactory, DevicePool};
 pub use queue::{QueueItem, UiQueue};
