@@ -10,8 +10,8 @@
 //! throughput, worker utilization) that serializes to JSON.
 
 use crate::checkpoint::{
-    failure_kind, retry_passes, triage_with, CheckpointOptions, CheckpointedSuite, FlakeSummary,
-    JournalError, JournalRecord, OutcomeRef,
+    failure_kind, retry_passes, triage_with, CheckpointOptions, CheckpointedSuite, JournalError,
+    JournalRecord, OutcomeRef,
 };
 use crate::config::FragDroidConfig;
 use crate::driver::FragDroid;
@@ -423,20 +423,11 @@ pub fn run(
     let flake_retries = options.flake_retries;
 
     // Open or resume the journal.
-    let mut restored: BTreeMap<usize, (AppOutcome, AppMetrics)> = BTreeMap::new();
-    let mut journaled_flakes: Option<FlakeSummary> = None;
-    let mut torn_tail_bytes = 0u64;
-    let journal = match options.checkpoint {
-        None => None,
-        Some(checkpoint) => {
-            let (journal, loaded) = checkpoint.open(source, config, flake_retries)?;
-            if let Some(loaded) = loaded {
-                torn_tail_bytes = loaded.torn_tail_bytes;
-                restored = loaded.slots;
-                journaled_flakes = loaded.flakes;
-            }
-            Some(Mutex::new(journal))
-        }
+    let opened = options.checkpoint.map(|c| c.open(source, config, flake_retries)).transpose()?;
+    let (journal, loaded) = opened.map_or((None, None), |(j, l)| (Some(Mutex::new(j)), l));
+    let (restored, journaled_flakes, torn_tail_bytes) = match loaded {
+        Some(loaded) => (loaded.slots, loaded.flakes, loaded.torn_tail_bytes),
+        None => (BTreeMap::new(), None, 0),
     };
 
     let resumed = restored.len();
@@ -472,10 +463,8 @@ pub fn run(
         }
     };
 
-    let remaining_ref = &remaining;
-    let journal_ref = &journal;
     let engine_run = engine::run_indexed_tagged(fresh, workers, |worker, k| {
-        let index = remaining_ref[k];
+        let index = remaining[k];
         let tracer = fd_trace::Tracer::new(&trace_config, clock, worker as u64);
         // Catch panics *here* (inside the engine's own isolation) so a
         // panicked app still gets its journal record: the engine's
@@ -487,7 +476,7 @@ pub fn run(
         let elapsed = started.elapsed();
         let (outcome, package) = slot_outcome(job, source, index);
         let metrics = slot_metrics(&outcome, package, elapsed);
-        if let Some(journal) = journal_ref {
+        if let Some(journal) = &journal {
             // A failure latches in the journal and surfaces at the end.
             let appended =
                 lock(journal).append(&OutcomeRef { index, metrics: &metrics, outcome: &outcome });
@@ -558,12 +547,7 @@ pub fn run(
         journal.into_inner().unwrap_or_else(|poisoned| poisoned.into_inner()).sync()?;
     }
 
-    let mut outcomes = Vec::with_capacity(slots.len());
-    let mut per_app = Vec::with_capacity(slots.len());
-    for (_, (outcome, metrics)) in slots {
-        outcomes.push(outcome);
-        per_app.push(metrics);
-    }
+    let (outcomes, per_app): (Vec<_>, Vec<_>) = slots.into_values().unzip();
     let mut metrics = assemble_metrics(
         per_app,
         engine_run.workers,
