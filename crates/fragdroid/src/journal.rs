@@ -171,23 +171,6 @@ pub(crate) fn scan<R: Record>(data: &[u8], version: u64) -> Result<Scan<R>, Jour
     scanner.finish(version)
 }
 
-/// Scans the journal at `path`, streamed through the scanner a block at
-/// a time so the file is never held in memory whole.
-pub(crate) fn scan_file<R: Record>(path: &Path, version: u64) -> Result<Scan<R>, JournalError> {
-    use std::io::Read;
-    let mut file = File::open(path).map_err(|e| JournalError::io(path, "read", e))?;
-    let mut scanner = Scanner::new();
-    let mut block = vec![0u8; 64 * 1024];
-    loop {
-        match file.read(&mut block) {
-            Ok(0) => return scanner.finish(version),
-            Ok(n) => scanner.feed(&block[..n])?,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(JournalError::io(path, "read", e)),
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Writing
 
@@ -232,7 +215,8 @@ impl<R: Record> Journal<R> {
         if !resume {
             return Err(JournalError::AlreadyExists { path: path.display().to_string() });
         }
-        scan_file(path, header.header_version().unwrap_or_default()).map(Opened::Found)
+        let data = std::fs::read(path).map_err(|e| JournalError::io(path, "read", e))?;
+        scan(&data, header.header_version().unwrap_or_default()).map(Opened::Found)
     }
 
     /// Creates (or atomically replaces) the journal at `path` holding
@@ -524,29 +508,6 @@ mod tests {
         let journal = Journal::<TestRecord>::resume(&path, scan.valid_len, 2).expect("resume");
         drop(journal);
         assert_eq!(std::fs::metadata(&path).expect("meta").len(), clean_len);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    /// A file several blocks long, torn mid-line, streams to the same
-    /// scan as its bytes held whole.
-    #[test]
-    fn file_scan_matches_in_memory_scan_across_blocks() {
-        let path = scratch("blocks.journal");
-        let mut text = line(&TestRecord::Header { version: 1 });
-        for value in 0..10_000 {
-            text.push_str(&line(&TestRecord::Entry { value }));
-        }
-        text.push_str("0123456789abcdef {\"Ent");
-        assert!(text.len() > 3 * 64 * 1024);
-        std::fs::write(&path, &text).expect("write");
-        let streamed = scan_file::<TestRecord>(&path, 1).expect("file scans");
-        let whole = scan::<TestRecord>(text.as_bytes(), 1).expect("bytes scan");
-        assert_eq!(streamed.records, whole.records);
-        assert_eq!(
-            (streamed.valid_len, streamed.torn_tail_bytes),
-            (whole.valid_len, whole.torn_tail_bytes)
-        );
-        assert_eq!(streamed.torn_tail_bytes, 22);
         let _ = std::fs::remove_file(&path);
     }
 
