@@ -107,6 +107,17 @@ impl ServeProc {
     }
 }
 
+/// A test that fails mid-way must not leak a running server: kill and
+/// reap the child (a no-op once `shutdown` or `kill` reaped it).
+impl Drop for ServeProc {
+    fn drop(&mut self) {
+        if let Ok(None) = self.child.try_wait() {
+            let _ = self.child.kill();
+            let _ = self.child.wait();
+        }
+    }
+}
+
 /// One raw frame out, one frame back — the typed wire protocol with no
 /// client-side retry sugar in the way.
 fn raw_request(addr: &ListenAddr, id: u64, body: ServeRequest) -> Envelope<ServeResponse> {
@@ -172,23 +183,39 @@ fn four_concurrent_clients_get_identical_reports_and_the_drain_is_graceful() {
 fn queue_overflow_is_a_typed_retryable_busy() {
     let fx = fixture("busy.fapk");
     let server = ServeProc::spawn(&["--workers", "1", "--queue-cap", "1"]);
+    let submit = |job: u64| {
+        let body =
+            ServeRequest::Submit { job, container_hex: fx.hex.clone(), inputs: fx.inputs.clone() };
+        encode_frame(&Envelope { id: job, body })
+    };
 
-    // Pipeline six submissions down one raw socket. With one worker and
+    // Job 1 first, and wait until the lone worker has taken it off the
+    // queue (it is running, or already done): admission of the rest is
+    // then deterministic whatever the scheduling.
+    let mut stream = AnyStream::connect(&server.addr).expect("connect");
+    let mut frames = FrameBuffer::new();
+    stream.write_all(&submit(1)).expect("send frame");
+    assert_eq!(read_reply(&mut stream, &mut frames).body, ServeResponse::Accepted { job: 1 });
+    let (mut accepted, mut busy) = (1u32, 0u32);
+    loop {
+        match raw_request(&server.addr, 50, ServeRequest::Status).body {
+            ServeResponse::Status { queued: 0, .. } => break,
+            ServeResponse::Status { .. } => std::thread::sleep(Duration::from_millis(1)),
+            other => panic!("expected Status, got {other:?}"),
+        }
+    }
+
+    // Pipeline five more down the same socket. With the worker busy and
     // a one-slot queue the later ones must bounce with a typed Busy —
     // the server replies strictly in request order, so the frames pair
     // up by id.
-    let mut stream = AnyStream::connect(&server.addr).expect("connect");
-    for job in 1u64..=6 {
-        let body =
-            ServeRequest::Submit { job, container_hex: fx.hex.clone(), inputs: fx.inputs.clone() };
-        stream.write_all(&encode_frame(&Envelope { id: job, body })).expect("send frame");
+    for job in 2u64..=6 {
+        stream.write_all(&submit(job)).expect("send frame");
     }
     stream.flush().expect("flush frames");
 
-    let (mut accepted, mut busy) = (0u32, 0u32);
     let mut bounced: Option<u64> = None;
-    let mut frames = FrameBuffer::new();
-    for _ in 1u64..=6 {
+    for _ in 2u64..=6 {
         let reply = read_reply(&mut stream, &mut frames);
         match reply.body {
             ServeResponse::Accepted { .. } => accepted += 1,

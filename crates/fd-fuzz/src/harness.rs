@@ -238,8 +238,8 @@ fn seed_request_stream(container: &[u8]) -> Vec<u8> {
     stream
 }
 
-/// Encodes a representative serve session (submit → poll → status →
-/// shutdown) over `container` as one frame stream — the serve target's
+/// Encodes a representative serve session (submit → poll → wait ×2 →
+/// status → shutdown) over `container` as one frame stream — the serve target's
 /// request-direction seed.
 fn seed_serve_request_stream(container: &[u8], inputs: &BTreeMap<String, String>) -> Vec<u8> {
     use fd_droidsim::proto::{encode_frame, to_hex, Envelope};
@@ -247,6 +247,8 @@ fn seed_serve_request_stream(container: &[u8], inputs: &BTreeMap<String, String>
     let requests = vec![
         ServeRequest::Submit { job: 1, container_hex: to_hex(container), inputs: inputs.clone() },
         ServeRequest::Poll { job: 1 },
+        ServeRequest::Wait { job: 1, timeout_ms: 500 },
+        ServeRequest::Wait { job: 2, timeout_ms: u64::MAX },
         ServeRequest::Status,
         ServeRequest::Shutdown,
     ];
@@ -430,9 +432,10 @@ fn decode_serve_incrementally(input: &[u8]) -> Result<usize, String> {
     Ok(decoded)
 }
 
-/// Replays `input` as every journal kind, whole-buffer and one byte at
-/// a time: the two must agree per kind (differential invariant). Ok
-/// when any kind accepts it, else every kind's typed rejection.
+/// Replays `input` as every journal kind, whole-buffer, one byte at a
+/// time, and split into 2 and 3 parallel parts: all must agree per kind
+/// (differential invariant). Ok when any kind accepts it, else every
+/// kind's typed rejection.
 fn replay_journal(input: &[u8]) -> Result<(), String> {
     let mut rejections = Vec::new();
     for kind in fragdroid::JournalKind::ALL {
@@ -442,6 +445,13 @@ fn replay_journal(input: &[u8]) -> Result<(), String> {
             whole, incremental,
             "byte-at-a-time {kind:?} journal scanning diverged from whole-buffer scanning"
         );
+        for parts in [2, 3] {
+            assert_eq!(
+                whole,
+                kind.replay_in_parts(input, parts),
+                "{parts}-part {kind:?} journal scanning diverged from whole-buffer scanning"
+            );
+        }
         match whole {
             Ok(_) => return Ok(()),
             Err(e) => rejections.push(format!("{kind:?}: {e}")),
@@ -821,10 +831,10 @@ mod tests {
     #[test]
     fn serve_seeds_decode_in_both_directions() {
         let corpus = SeedCorpus::build();
-        // Request sessions: submit → poll → status → shutdown.
+        // Request sessions: submit → poll → wait ×2 → status → shutdown.
         for stream in &corpus.serve[..3] {
-            assert_eq!(decode_serve_stream(stream), Ok(4));
-            assert_eq!(decode_serve_incrementally(stream), Ok(4));
+            assert_eq!(decode_serve_stream(stream), Ok(6));
+            assert_eq!(decode_serve_incrementally(stream), Ok(6));
         }
         // The response stream carries one of every reply shape.
         let responses = corpus.serve.last().expect("response seed present");

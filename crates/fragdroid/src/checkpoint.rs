@@ -33,7 +33,7 @@
 //! panic.
 
 use crate::config::FragDroidConfig;
-use crate::journal::{encode_line, scan, Journal, Opened, Record, Scan};
+use crate::journal::{encode_line, scan_file, Journal, Opened, Record, Scan};
 use crate::suite::{slot_metrics, AppMetrics, AppOutcome, SuiteRun, SuiteSource};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -472,8 +472,7 @@ pub struct LoadedJournal {
 /// all progress before it. Corruption anywhere else is a typed error,
 /// never a panic and never a silent wrong resume.
 pub fn load_journal(path: &Path) -> Result<LoadedJournal, JournalError> {
-    let data = std::fs::read(path).map_err(|e| JournalError::io(path, "read", e))?;
-    fold(scan(&data, JOURNAL_VERSION)?)
+    fold(scan_file(path, JOURNAL_VERSION)?)
 }
 
 /// Folds a scanned journal into its slots and flake verdicts.

@@ -6,7 +6,10 @@
 //! unterminated final line is a torn tail (dropped); any other damage
 //! is a typed [`JournalError`]. Creation is atomic, resume truncates
 //! the torn tail, and appends group-commit with the first failure
-//! latched (DESIGN.md §16).
+//! latched (DESIGN.md §16). A journal of [`PARALLEL_SCAN_MIN`] bytes or
+//! more is scanned in newline-aligned parts on scoped threads: lines
+//! are independent, so the parts decode in parallel and merge into the
+//! same [`Scan`] (or the same first error) as one serial pass.
 
 use crate::checkpoint::{fnv1a, JournalError, FNV_OFFSET};
 use std::fs::{File, OpenOptions};
@@ -16,7 +19,7 @@ use std::path::{Path, PathBuf};
 
 /// One journal line's payload. Every journal starts with exactly one
 /// header record.
-pub trait Record: serde::Serialize + serde::Deserialize {
+pub trait Record: serde::Serialize + serde::Deserialize + Send {
     /// The format version when this record is a header, `None` for
     /// every other record.
     fn header_version(&self) -> Option<u64>;
@@ -164,15 +167,182 @@ impl<R: Record> Scanner<R> {
     }
 }
 
-/// Scans a whole journal held in memory.
+/// Journals at least this large are scanned in parallel parts.
+pub(crate) const PARALLEL_SCAN_MIN: u64 = 1 << 20;
+
+/// Bytes one scan part reads at a time.
+const SCAN_BLOCK: u64 = 1 << 20;
+
+/// Bytes a split probes at a time for the next newline.
+const SPLIT_PROBE: u64 = 64 << 10;
+
+/// Scans a whole journal held in memory: serially below
+/// [`PARALLEL_SCAN_MIN`], else in one part per available core.
 pub(crate) fn scan<R: Record>(data: &[u8], version: u64) -> Result<Scan<R>, JournalError> {
+    scan_source(data, version, default_parts(data.len() as u64))
+}
+
+/// Scans the journal at `path` like [`scan`], reading each part in
+/// [`SCAN_BLOCK`]-byte blocks instead of holding the file in memory.
+pub(crate) fn scan_file<R: Record>(path: &Path, version: u64) -> Result<Scan<R>, JournalError> {
+    let file = File::open(path).map_err(|e| JournalError::io(path, "open", e))?;
+    let len = file.metadata().map_err(|e| JournalError::io(path, "stat", e))?.len();
+    scan_source(&FileSource { file, len, path }, version, default_parts(len))
+}
+
+/// Scans `data` in up to `parts` parts whatever its size (tests and
+/// fuzzing reach the parallel path through this).
+pub(crate) fn scan_in_parts<R: Record>(
+    data: &[u8],
+    version: u64,
+    parts: usize,
+) -> Result<Scan<R>, JournalError> {
+    scan_source(data, version, parts)
+}
+
+fn default_parts(len: u64) -> usize {
+    if len >= PARALLEL_SCAN_MIN {
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    } else {
+        1
+    }
+}
+
+/// Random-access journal bytes: a buffer, or a file read on demand.
+trait Source: Sync {
+    fn size(&self) -> u64;
+    /// Fills `buf` with the bytes at offset `at`.
+    fn read_at(&self, buf: &mut [u8], at: u64) -> Result<(), JournalError>;
+}
+
+impl Source for [u8] {
+    fn size(&self) -> u64 {
+        self.len() as u64
+    }
+
+    fn read_at(&self, buf: &mut [u8], at: u64) -> Result<(), JournalError> {
+        let at = at as usize;
+        buf.copy_from_slice(&self[at..at + buf.len()]);
+        Ok(())
+    }
+}
+
+struct FileSource<'a> {
+    file: File,
+    len: u64,
+    path: &'a Path,
+}
+
+impl Source for FileSource<'_> {
+    fn size(&self) -> u64 {
+        self.len
+    }
+
+    fn read_at(&self, buf: &mut [u8], at: u64) -> Result<(), JournalError> {
+        use std::os::unix::fs::FileExt;
+        self.file.read_exact_at(buf, at).map_err(|e| JournalError::io(self.path, "read", e))
+    }
+}
+
+/// Scans `source` in up to `parts` newline-aligned parts, each on its
+/// own scoped thread, and merges them in order. Every part but the last
+/// ends at a newline, so only the last can hold a torn tail, and the
+/// result (records, line numbers, lengths, or the first error and its
+/// line) equals a serial scan's.
+fn scan_source<R: Record>(
+    source: &(impl Source + ?Sized),
+    version: u64,
+    parts: usize,
+) -> Result<Scan<R>, JournalError> {
+    let bounds = split_at_lines(source, parts)?;
+    if let [start, end] = bounds[..] {
+        return scan_range(source, start, end)?.finish(version);
+    }
+    let scanned: Vec<Result<Scanner<R>, JournalError>> = std::thread::scope(|scope| {
+        let rest: Vec<_> = bounds[1..]
+            .windows(2)
+            .map(|range| scope.spawn(move || scan_range(source, range[0], range[1])))
+            .collect();
+        let mut scanned = vec![scan_range(source, bounds[0], bounds[1])];
+        for handle in rest {
+            scanned.push(handle.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)));
+        }
+        scanned
+    });
+    let mut merged = Scanner::new();
+    for part in scanned {
+        // A part counts lines from 1; every earlier part scanned clean,
+        // so its error sits `merged.line` lines further down the file.
+        let part = part.map_err(|error| match error {
+            JournalError::ChecksumMismatch { line } => {
+                JournalError::ChecksumMismatch { line: line + merged.line }
+            }
+            JournalError::BadRecord { line, error } => {
+                JournalError::BadRecord { line: line + merged.line, error }
+            }
+            other => other,
+        })?;
+        let offset = merged.line;
+        merged.records.extend(part.records.into_iter().map(|(line, r)| (line + offset, r)));
+        merged.line += part.line;
+        merged.valid_len += part.valid_len;
+        merged.partial = part.partial;
+    }
+    merged.finish(version)
+}
+
+/// Scans `source[start..end]`, read in blocks.
+fn scan_range<R: Record>(
+    source: &(impl Source + ?Sized),
+    start: u64,
+    end: u64,
+) -> Result<Scanner<R>, JournalError> {
     let mut scanner = Scanner::new();
-    scanner.feed(data)?;
-    scanner.finish(version)
+    let mut block = vec![0; SCAN_BLOCK.min(end - start) as usize];
+    let mut at = start;
+    while at < end {
+        let n = block.len().min((end - at) as usize);
+        source.read_at(&mut block[..n], at)?;
+        scanner.feed(&block[..n])?;
+        at += n as u64;
+    }
+    Ok(scanner)
+}
+
+/// The bounds `[0, b1, …, len]` of at most `parts` parts of `source`,
+/// every part but the last ending just after a newline.
+fn split_at_lines(source: &(impl Source + ?Sized), parts: usize) -> Result<Vec<u64>, JournalError> {
+    let len = source.size();
+    let mut bounds = vec![0];
+    let mut probe = vec![0; SPLIT_PROBE.min(len) as usize];
+    for k in 1..parts as u64 {
+        let mut at = (len / parts as u64 * k).max(bounds[bounds.len() - 1]);
+        let mut end = None;
+        while end.is_none() && at < len {
+            let n = probe.len().min((len - at) as usize);
+            source.read_at(&mut probe[..n], at)?;
+            end = probe[..n].iter().position(|&b| b == b'\n').map(|i| at + i as u64 + 1);
+            at += n as u64;
+        }
+        match end {
+            Some(end) if end < len => bounds.push(end),
+            _ => break,
+        }
+    }
+    bounds.push(len);
+    Ok(bounds)
 }
 
 // ---------------------------------------------------------------------------
 // Writing
+
+/// Bytes [`Journal::replace`] buffers between writes.
+const REWRITE_BATCH: usize = 1 << 20;
+
+/// Where [`Journal::replace`] stages the new file.
+pub(crate) fn tmp_path(path: &Path) -> PathBuf {
+    PathBuf::from(format!("{}.tmp", path.display()))
+}
 
 /// What [`Journal::open`] found at the path.
 pub(crate) enum Opened<R> {
@@ -195,6 +365,8 @@ pub(crate) struct Journal<R> {
     fsync_every: usize,
     /// The first write or fsync failure; once set, nothing is written.
     failed: Option<JournalError>,
+    /// Records appended since the journal was opened.
+    appended: u64,
     record: PhantomData<fn(&R)>,
 }
 
@@ -215,25 +387,48 @@ impl<R: Record> Journal<R> {
         if !resume {
             return Err(JournalError::AlreadyExists { path: path.display().to_string() });
         }
-        let data = std::fs::read(path).map_err(|e| JournalError::io(path, "read", e))?;
-        scan(&data, header.header_version().unwrap_or_default()).map(Opened::Found)
+        scan_file(path, header.header_version().unwrap_or_default()).map(Opened::Found)
     }
 
     /// Creates (or atomically replaces) the journal at `path` holding
-    /// just `header`: tmp file, fsync, rename, directory fsync. A crash
-    /// at any point leaves either the old file or the new header.
+    /// just `header`, open for appending.
     pub(crate) fn create(
         path: &Path,
         header: &R,
         fsync_every: usize,
     ) -> Result<Self, JournalError> {
+        Journal::replace(path, header, std::iter::empty::<&R>())?;
+        let file = OpenOptions::new()
+            .append(true)
+            .open(path)
+            .map_err(|e| JournalError::io(path, "open for append", e))?;
+        Ok(Journal::over(file, path, fsync_every))
+    }
+
+    /// Atomically replaces the journal at `path` with `header` followed
+    /// by `records`: tmp file written in [`REWRITE_BATCH`]-byte batches,
+    /// fsync, rename, directory fsync. A crash at any point leaves
+    /// either the old file or the whole new one.
+    pub(crate) fn replace<T: serde::Serialize>(
+        path: &Path,
+        header: &R,
+        records: impl IntoIterator<Item = T>,
+    ) -> Result<(), JournalError> {
         let io = JournalError::io;
-        let tmp = PathBuf::from(format!("{}.tmp", path.display()));
+        let tmp = tmp_path(path);
         {
             let mut file = File::create(&tmp).map_err(|e| io(&tmp, "create", e))?;
-            file.write_all(encode_line(header).as_bytes())
-                .map_err(|e| io(&tmp, "write header", e))?;
-            file.sync_all().map_err(|e| io(&tmp, "fsync header", e))?;
+            let (mut json, mut batch) = (String::new(), String::new());
+            encode_line_into(header, &mut json, &mut batch);
+            for record in records {
+                encode_line_into(&record, &mut json, &mut batch);
+                if batch.len() >= REWRITE_BATCH {
+                    file.write_all(batch.as_bytes()).map_err(|e| io(&tmp, "write", e))?;
+                    batch.clear();
+                }
+            }
+            file.write_all(batch.as_bytes()).map_err(|e| io(&tmp, "write", e))?;
+            file.sync_all().map_err(|e| io(&tmp, "fsync", e))?;
         }
         std::fs::rename(&tmp, path).map_err(|e| io(path, "rename into place", e))?;
         // Until the directory entry is on stable storage a crash can
@@ -244,11 +439,7 @@ impl<R: Record> Journal<R> {
                 .and_then(|handle| handle.sync_all())
                 .map_err(|e| io(dir, "fsync directory", e))?;
         }
-        let file = OpenOptions::new()
-            .append(true)
-            .open(path)
-            .map_err(|e| io(path, "open for append", e))?;
-        Ok(Journal::over(file, path, fsync_every))
+        Ok(())
     }
 
     /// Reopens a scanned journal for appending, first truncating (and
@@ -271,7 +462,7 @@ impl<R: Record> Journal<R> {
     }
 
     /// A journal over an already-positioned append handle.
-    fn over(file: File, path: &Path, fsync_every: usize) -> Self {
+    pub(crate) fn over(file: File, path: &Path, fsync_every: usize) -> Self {
         Journal {
             file,
             path: path.to_path_buf(),
@@ -280,6 +471,7 @@ impl<R: Record> Journal<R> {
             pending: 0,
             fsync_every,
             failed: None,
+            appended: 0,
             record: PhantomData,
         }
     }
@@ -293,6 +485,7 @@ impl<R: Record> Journal<R> {
         self.latched()?;
         encode_line_into(record, &mut self.json, &mut self.buf);
         self.pending += 1;
+        self.appended += 1;
         if self.pending >= self.fsync_every.max(1) {
             self.sync()?;
         }
@@ -321,8 +514,13 @@ impl<R: Record> Journal<R> {
     }
 
     /// The latched failure, if any.
-    fn latched(&self) -> Result<(), JournalError> {
+    pub(crate) fn latched(&self) -> Result<(), JournalError> {
         self.failed.clone().map_or(Ok(()), Err)
+    }
+
+    /// Records appended since the journal was opened.
+    pub(crate) fn appended(&self) -> u64 {
+        self.appended
     }
 }
 
@@ -352,14 +550,25 @@ impl JournalKind {
     /// Replays `data` as this kind, fed to the scanner `chunk` bytes at
     /// a time (0: all at once), then folded as a resume folds it.
     pub fn replay(self, data: &[u8], chunk: usize) -> Result<Replayed, JournalError> {
+        self.replay_by(data, ScanBy::Chunks(chunk))
+    }
+
+    /// Replays `data` as this kind, scanned in up to `parts` parallel
+    /// newline-aligned parts whatever its size, then folded. Equals
+    /// [`Self::replay`] for every input.
+    pub fn replay_in_parts(self, data: &[u8], parts: usize) -> Result<Replayed, JournalError> {
+        self.replay_by(data, ScanBy::Parts(parts))
+    }
+
+    fn replay_by(self, data: &[u8], by: ScanBy) -> Result<Replayed, JournalError> {
         use crate::{checkpoint, dispatch, serve::journal as serve};
         match self {
             JournalKind::Checkpoint => {
-                replay_with(data, chunk, checkpoint::JOURNAL_VERSION, checkpoint::fold)
+                replay_with(data, by, checkpoint::JOURNAL_VERSION, checkpoint::fold)
             }
-            JournalKind::Serve => replay_with(data, chunk, serve::JOB_JOURNAL_VERSION, serve::fold),
+            JournalKind::Serve => replay_with(data, by, serve::JOB_JOURNAL_VERSION, serve::fold),
             JournalKind::Dispatch => {
-                replay_with(data, chunk, dispatch::DISPATCH_JOURNAL_VERSION, dispatch::fold)
+                replay_with(data, by, dispatch::DISPATCH_JOURNAL_VERSION, dispatch::fold)
             }
         }
     }
@@ -375,17 +584,31 @@ impl JournalKind {
     }
 }
 
+/// How a raw replay feeds the scanner.
+#[derive(Clone, Copy)]
+enum ScanBy {
+    /// Serially, this many bytes at a time (0: all at once).
+    Chunks(usize),
+    /// In up to this many parallel parts.
+    Parts(usize),
+}
+
 fn replay_with<R: Record, T>(
     data: &[u8],
-    chunk: usize,
+    by: ScanBy,
     version: u64,
     fold: impl FnOnce(Scan<R>) -> Result<T, JournalError>,
 ) -> Result<Replayed, JournalError> {
-    let mut scanner = Scanner::new();
-    for piece in data.chunks(if chunk == 0 { data.len().max(1) } else { chunk }) {
-        scanner.feed(piece)?;
-    }
-    let scan = scanner.finish(version)?;
+    let scan = match by {
+        ScanBy::Chunks(chunk) => {
+            let mut scanner = Scanner::new();
+            for piece in data.chunks(if chunk == 0 { data.len().max(1) } else { chunk }) {
+                scanner.feed(piece)?;
+            }
+            scanner.finish(version)?
+        }
+        ScanBy::Parts(parts) => scan_in_parts(data, version, parts)?,
+    };
     let replayed = (scan.records.len() + 1, scan.valid_len, scan.torn_tail_bytes);
     fold(scan)?;
     Ok(replayed)
@@ -400,13 +623,14 @@ mod tests {
     enum TestRecord {
         Header { version: u64 },
         Entry { value: u64 },
+        Note { text: String },
     }
 
     impl Record for TestRecord {
         fn header_version(&self) -> Option<u64> {
             match self {
                 TestRecord::Header { version } => Some(*version),
-                TestRecord::Entry { .. } => None,
+                TestRecord::Entry { .. } | TestRecord::Note { .. } => None,
             }
         }
     }
@@ -478,6 +702,122 @@ mod tests {
             scan::<TestRecord>(twice.as_bytes(), 1),
             Err(JournalError::BadRecord { line: 2, .. })
         ));
+    }
+
+    /// Everything a scan decides, comparable across scan paths.
+    type Outcome = Result<(TestRecord, Vec<(usize, TestRecord)>, u64, u64), JournalError>;
+
+    fn outcome(scan: Result<Scan<TestRecord>, JournalError>) -> Outcome {
+        scan.map(|s| (s.header, s.records, s.valid_len, s.torn_tail_bytes))
+    }
+
+    /// A seeded journal of `records` records, then damaged by `damage`:
+    /// 0 none, 1 a flipped checksum digit, 2 a checksummed line of
+    /// malformed JSON, 3 a torn tail, 4 a second header, 5 an empty line,
+    /// 6 a flipped digit and a torn tail.
+    fn seeded_journal(seed: u64, records: usize, damage: u8) -> Vec<u8> {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut lines = vec![line(&TestRecord::Header { version: 1 })];
+        for _ in 0..records {
+            let record = if rng.gen_bool(0.5) {
+                TestRecord::Entry { value: rng.gen_range(0..u64::MAX) }
+            } else {
+                let len = rng.gen_range(0..40);
+                let text = (0..len).map(|_| ['a', '"', '\n', '\\', 'é'][rng.gen_range(0..5usize)]);
+                TestRecord::Note { text: text.collect() }
+            };
+            lines.push(line(&record));
+        }
+        let at = rng.gen_range(1..=lines.len());
+        match damage {
+            1 | 6 => {
+                let victim = &mut lines[at.min(records)];
+                let digit = rng.gen_range(0..16);
+                let flipped = if &victim[digit..=digit] == "0" { "1" } else { "0" };
+                victim.replace_range(digit..=digit, flipped);
+            }
+            2 => {
+                let bad = "{\"Entry\":";
+                let text = format!("{:016x} {bad}\n", fnv1a(FNV_OFFSET, bad.as_bytes()));
+                lines.insert(at, text);
+            }
+            4 => lines.insert(at, line(&TestRecord::Header { version: 1 })),
+            5 => lines.insert(at, "\n".to_string()),
+            _ => {}
+        }
+        let mut bytes = lines.concat().into_bytes();
+        if matches!(damage, 3 | 6) {
+            let cut = rng.gen_range(0..bytes.len());
+            bytes.truncate(cut);
+        }
+        bytes
+    }
+
+    mod parallel_scan {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// Scanning in 1–4 parts decides exactly what one serial
+            /// pass decides: the same records at the same line numbers,
+            /// the same lengths, or the same first error at the same
+            /// line.
+            #[test]
+            fn parts_scan_equals_the_serial_scan(
+                seed in 0u64..1_000_000,
+                records in 0usize..40,
+                damage in 0u8..7,
+                parts in 1usize..5,
+            ) {
+                let data = seeded_journal(seed, records, damage);
+                let mut serial = Scanner::new();
+                let serial = serial.feed(&data).and_then(|()| serial.finish(1));
+                prop_assert_eq!(outcome(scan_in_parts(&data, 1, parts)), outcome(serial));
+            }
+        }
+    }
+
+    /// Splits are newline-aligned, never empty, and cover the input.
+    #[test]
+    fn splits_are_line_aligned_and_cover_the_input() {
+        let data = seeded_journal(7, 30, 3);
+        for parts in 1..8 {
+            let bounds = split_at_lines(&data[..], parts).expect("in-memory reads succeed");
+            assert!(bounds.len() >= 2 && bounds.len() <= parts + 1, "{parts} parts");
+            assert_eq!((bounds[0], bounds[bounds.len() - 1]), (0, data.len() as u64));
+            for pair in bounds.windows(2) {
+                assert!(pair[0] < pair[1], "{parts} parts: empty part");
+            }
+            for &end in &bounds[1..bounds.len() - 1] {
+                assert_eq!(data[end as usize - 1], b'\n', "{parts} parts");
+            }
+        }
+        assert_eq!(split_at_lines(&b""[..], 4).expect("empty input"), vec![0, 0]);
+    }
+
+    /// A journal past the cut-over, read from a file in blocks, takes
+    /// the parallel path and still equals the serial pass.
+    #[test]
+    fn large_journal_files_scan_identically() {
+        let mut text = line(&TestRecord::Header { version: 1 });
+        let mut value = 0;
+        while (text.len() as u64) < PARALLEL_SCAN_MIN + SCAN_BLOCK + 4096 {
+            text.push_str(&line(&TestRecord::Entry { value }));
+            value += 1;
+        }
+        text.push_str("0123");
+        let mut serial = Scanner::new();
+        serial.feed(text.as_bytes()).expect("feeds");
+        let serial = outcome(serial.finish(1));
+        let path = scratch("large.journal");
+        std::fs::write(&path, &text).expect("write journal");
+        assert_eq!(outcome(scan_file(&path, 1)), serial);
+        assert_eq!(outcome(scan(text.as_bytes(), 1)), serial);
+        assert_eq!(outcome(scan_in_parts(text.as_bytes(), 1, 3)), serial);
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The retry-with-backoff serve client `fragdroid submit` drives: it
 //! connects (TCP or Unix), submits one job under a client-assigned id,
-//! and polls until the report lands — reconnecting and resubmitting
+//! and waits (blocking [`ServeRequest::Wait`] frames) until the report
+//! lands — reconnecting and resubmitting
 //! idempotently across torn connections, `Busy` queues, draining
 //! servers, and server restarts. With a [`ChaosConfig`] armed, every
 //! connection is wrapped in a seeded [`ChaosStream`] and requests are
@@ -83,7 +84,6 @@ pub struct SubmitClient {
     addr: ListenAddr,
     max_attempts: u32,
     base_backoff: Duration,
-    poll_interval: Duration,
     deadline: Duration,
     io_timeout: Duration,
     chaos: Option<ChaosConfig>,
@@ -95,15 +95,13 @@ pub struct SubmitClient {
 
 impl SubmitClient {
     /// A client for `addr` with the default budgets: 8 reconnect
-    /// attempts, 10 ms base backoff (doubling, capped at 500 ms), 5 ms
-    /// poll interval, 60 s overall deadline, 2 s per-operation I/O
-    /// timeout, no chaos.
+    /// attempts, 10 ms base backoff (doubling, capped at 500 ms), 60 s
+    /// overall deadline, 2 s per-operation I/O timeout, no chaos.
     pub fn new(addr: ListenAddr) -> SubmitClient {
         SubmitClient {
             addr,
             max_attempts: 8,
             base_backoff: Duration::from_millis(10),
-            poll_interval: Duration::from_millis(5),
             deadline: Duration::from_secs(60),
             io_timeout: Duration::from_secs(2),
             chaos: None,
@@ -215,7 +213,7 @@ impl SubmitClient {
                     if accept_only {
                         return Ok(None);
                     }
-                    poll_until_settled(c, job, started, self.deadline, self.poll_interval)
+                    wait_until_settled(c, job, started, self.deadline, self.io_timeout / 4)
                 }
                 Ok(ServeResponse::Busy { retry_after_ms, .. }) => {
                     Step::SleepResubmit(retry_after_ms)
@@ -310,7 +308,7 @@ impl SubmitClient {
 enum Step {
     /// The job reached a terminal outcome.
     Settled(JobOutcome),
-    /// The deadline passed mid-poll.
+    /// The deadline passed mid-wait.
     Deadline(String),
     /// Server said `Busy`: sleep the hint, resubmit on the same
     /// connection.
@@ -323,23 +321,26 @@ enum Step {
     Broken(String),
 }
 
-/// Polls until the job settles, the connection breaks, or the deadline
-/// passes.
-fn poll_until_settled(
+/// Waits until the job settles, the connection breaks, or the deadline
+/// passes. Each `Wait` asks the server to block at most `slice`: a
+/// quarter of the I/O timeout, so even a chaos-duplicated `Wait` ahead
+/// of it leaves its reply inside the read deadline.
+fn wait_until_settled(
     c: &mut Conversation,
     job: u64,
     started: Instant,
     deadline: Duration,
-    poll_interval: Duration,
+    slice: Duration,
 ) -> Step {
     loop {
-        if started.elapsed() >= deadline {
+        let remaining = deadline.saturating_sub(started.elapsed());
+        if remaining.is_zero() {
             return Step::Deadline("job accepted, report still pending".to_string());
         }
-        match c.call(ServeRequest::Poll { job }) {
-            Ok(ServeResponse::Pending { .. }) => {
-                bounded_sleep(poll_interval, started, deadline);
-            }
+        let timeout_ms = slice.min(remaining).as_millis().max(1) as u64;
+        match c.call(ServeRequest::Wait { job, timeout_ms }) {
+            // The server already blocked for the slice.
+            Ok(ServeResponse::Pending { .. }) => {}
             Ok(ServeResponse::Report { json, .. }) => {
                 return Step::Settled(JobOutcome::Report { json })
             }
@@ -350,7 +351,7 @@ fn poll_until_settled(
             // journal (or we raced its recovery). Resubmitting under
             // the same id is idempotent either way.
             Ok(ServeResponse::UnknownJob { .. }) => return Step::Resubmit,
-            Ok(other) => return Step::Broken(format!("unexpected poll reply: {other:?}")),
+            Ok(other) => return Step::Broken(format!("unexpected wait reply: {other:?}")),
             Err(error) => return Step::Broken(error),
         }
     }

@@ -7,6 +7,12 @@
 //! `Submitted`-only ones (the engine is deterministic) and truncates a
 //! torn tail; a corrupt *complete* line is a typed error and the file
 //! is left untouched.
+//!
+//! A clean drain compacts the journal ([`JobJournal::compact`]): every
+//! job is settled by then, so the file is atomically rewritten as the
+//! header plus one `Settled` record per job, dropping the container hex
+//! each `Submitted` carried. Restart cost then follows the job table,
+//! not the traffic history.
 
 use crate::checkpoint::JournalError;
 use crate::journal::{encode_line, Journal, Opened, Record, Scan};
@@ -27,13 +33,17 @@ pub(crate) enum JobRecord {
     Submitted { container_hex: String, digest: u64, inputs: BTreeMap<String, String>, job: u64 },
     /// A finished job: `ok` selects report (`true`) vs refusal.
     Completed { job: u64, ok: bool, payload: String },
+    /// A compacted job: its `Submitted` and `Completed` in one record.
+    Settled { job: u64, digest: u64, ok: bool, payload: String },
 }
 
 impl Record for JobRecord {
     fn header_version(&self) -> Option<u64> {
         match self {
             JobRecord::Header { version, .. } => Some(*version),
-            JobRecord::Submitted { .. } | JobRecord::Completed { .. } => None,
+            JobRecord::Submitted { .. }
+            | JobRecord::Completed { .. }
+            | JobRecord::Settled { .. } => None,
         }
     }
 }
@@ -42,6 +52,7 @@ impl Record for JobRecord {
 pub(crate) struct RecoveredJob {
     pub job: u64,
     pub digest: u64,
+    /// Empty for a `Settled` job: it never runs again.
     pub container_hex: String,
     pub inputs: BTreeMap<String, String>,
     /// `Some` when a `Completed` record survived: `Ok(report_json)` or
@@ -50,12 +61,20 @@ pub(crate) struct RecoveredJob {
 }
 
 /// Everything recovery found.
-#[derive(Default)]
 pub(crate) struct Recovery {
     /// Restored jobs in job-id order.
     pub jobs: Vec<RecoveredJob>,
     /// Bytes of torn tail truncated away (0 for a clean journal).
     pub torn_tail_bytes: u64,
+    /// The journal is already compact: no record but the header and
+    /// `Settled` ones (true for a fresh journal).
+    pub compact: bool,
+}
+
+impl Default for Recovery {
+    fn default() -> Self {
+        Recovery { jobs: Vec::new(), torn_tail_bytes: 0, compact: true }
+    }
 }
 
 /// An open job journal. Every record is fsynced on its own; after a
@@ -83,8 +102,29 @@ impl JobJournal {
             }
         }
         let (valid_len, torn_tail_bytes) = (scan.valid_len, scan.torn_tail_bytes);
+        let compact = scan.records.iter().all(|(_, r)| matches!(r, JobRecord::Settled { .. }));
         let jobs = fold(scan)?;
-        Ok((Journal::resume(path, valid_len, 1)?, Recovery { jobs, torn_tail_bytes }))
+        Ok((Journal::resume(path, valid_len, 1)?, Recovery { jobs, torn_tail_bytes, compact }))
+    }
+
+    /// Atomically rewrites the journal at `path` as the header plus one
+    /// `Settled` record per `(job, digest, result)`, in the given order.
+    /// The caller guarantees every job is settled; the old file stays in
+    /// place until the new one is complete and durable.
+    pub fn compact<'a>(
+        path: &Path,
+        config_digest: u64,
+        jobs: impl IntoIterator<Item = (u64, u64, &'a Result<String, String>)>,
+    ) -> Result<(), JournalError> {
+        let header = JobRecord::Header { config_digest, version: JOB_JOURNAL_VERSION };
+        let settled = jobs.into_iter().map(|(job, digest, result)| {
+            let (ok, payload) = match result {
+                Ok(json) => (true, json.clone()),
+                Err(reason) => (false, reason.clone()),
+            };
+            JobRecord::Settled { job, digest, ok, payload }
+        });
+        Journal::replace(path, &header, settled)
     }
 
     /// Appends (and fsyncs) one `Submitted` record. Called before the
@@ -137,18 +177,33 @@ pub(crate) fn fold(scan: Scan<JobRecord>) -> Result<Vec<RecoveredJob>, JournalEr
                 };
                 entry.result = Some(if ok { Ok(payload) } else { Err(payload) });
             }
+            JobRecord::Settled { job, digest, ok, payload } => {
+                if jobs.contains_key(&job) {
+                    return Err(JournalError::DuplicateIndex { index: job as usize });
+                }
+                let result = Some(if ok { Ok(payload) } else { Err(payload) });
+                let (container_hex, inputs) = (String::new(), BTreeMap::new());
+                jobs.insert(job, RecoveredJob { job, digest, container_hex, inputs, result });
+            }
         }
     }
     Ok(jobs.into_values().collect())
 }
 
-/// A small, well-formed job journal for fuzz seeds: a header, `jobs`
-/// submissions, and a completion (report or refusal) for every other
-/// one. Pure — no clock, no filesystem.
+/// A small, well-formed job journal for fuzz seeds: a header, a
+/// compacted prefix of `Settled` jobs, then `jobs` submissions and a
+/// completion (report or refusal) for every other one. Pure — no
+/// clock, no filesystem.
 pub(crate) fn demo_journal(seed: u64, jobs: usize) -> Vec<u8> {
     let mut out =
         encode_line(&JobRecord::Header { config_digest: seed, version: JOB_JOURNAL_VERSION });
-    for job in 0..jobs as u64 {
+    let settled = (jobs as u64 / 2).max(1);
+    for job in 0..settled {
+        let (ok, payload) = (job % 2 == 0, format!("{{\"settled\":{job}}}"));
+        let digest = seed.wrapping_sub(job);
+        out.push_str(&encode_line(&JobRecord::Settled { job, digest, ok, payload }));
+    }
+    for job in settled..settled + jobs as u64 {
         let inputs = BTreeMap::from([("field".to_string(), format!("value-{seed}"))]);
         let container_hex = format!("{:016x}", seed ^ job);
         let digest = seed.wrapping_add(job);
@@ -294,6 +349,115 @@ mod tests {
         );
         assert_eq!(recovery.jobs[0].inputs["username"], "alice");
         assert_eq!(std::fs::read(&path).ok(), std::fs::read(&fixture).ok(), "file untouched");
+    }
+
+    /// `(job, digest, result)` of one job: what compaction keeps.
+    type Row = (u64, u64, Option<Result<String, String>>);
+
+    fn table(recovery: &Recovery) -> Vec<Row> {
+        recovery.jobs.iter().map(|j| (j.job, j.digest, j.result.clone())).collect()
+    }
+
+    /// A small settled journal: two reports, one refusal.
+    fn settled_journal(path: &Path) {
+        let _ = std::fs::remove_file(path);
+        let (mut journal, _) = JobJournal::open_or_create(path, 3).expect("create");
+        journal.append_submitted(2, 20, "aa", &inputs()).expect("submit 2");
+        journal.append_submitted(1, 10, "bb", &BTreeMap::new()).expect("submit 1");
+        journal.append_submitted(5, 50, "cc", &BTreeMap::new()).expect("submit 5");
+        journal.append_completed(1, true, "{\n  \"report\": \"one\"\n}").expect("complete 1");
+        journal.append_completed(5, false, "refused: \"packed\"").expect("complete 5");
+        journal.append_completed(2, true, "{}").expect("complete 2");
+    }
+
+    /// Compacts the journal at `path` from its own recovered table.
+    fn compact_in_place(path: &Path) {
+        let (_journal, recovery) = JobJournal::open_or_create(path, 3).expect("recover");
+        let jobs =
+            recovery.jobs.iter().map(|j| (j.job, j.digest, j.result.as_ref().expect("settled")));
+        JobJournal::compact(path, 3, jobs).expect("compact");
+    }
+
+    #[test]
+    fn compaction_keeps_the_job_table_and_only_settled_records() {
+        let path = tmp("compact.jobs");
+        settled_journal(&path);
+        let original_len = std::fs::metadata(&path).expect("meta").len();
+        let (_journal, before) = JobJournal::open_or_create(&path, 3).expect("recover original");
+        assert!(!before.compact);
+        compact_in_place(&path);
+        let (_journal, after) = JobJournal::open_or_create(&path, 3).expect("recover compacted");
+        assert!(after.compact);
+        assert_eq!(table(&after), table(&before));
+        let text = std::fs::read_to_string(&path).expect("read");
+        assert_eq!(text.lines().count(), 4, "header plus one record per job");
+        assert!(text.lines().skip(1).all(|l| l.contains("\"Settled\"")));
+        assert!((text.len() as u64) < original_len);
+        assert!(!crate::journal::tmp_path(&path).exists(), "the temp file was renamed");
+
+        // Compacting a compacted journal changes nothing.
+        compact_in_place(&path);
+        assert_eq!(std::fs::read_to_string(&path).expect("read"), text);
+
+        // Appends after a compacting restart fold on top of it.
+        let (mut journal, _) = JobJournal::open_or_create(&path, 3).expect("reopen");
+        journal.append_submitted(7, 70, "dd", &BTreeMap::new()).expect("submit 7");
+        drop(journal);
+        let (_journal, grown) = JobJournal::open_or_create(&path, 3).expect("recover grown");
+        assert!(!grown.compact);
+        assert_eq!(grown.jobs.len(), 4);
+        assert!(grown.jobs[3].result.is_none(), "job 7 re-queues");
+        assert_eq!(grown.jobs[3].container_hex, "dd");
+    }
+
+    /// A crash mid-compaction leaves a partial temp file next to the
+    /// untouched journal: at every byte offset of the temp file, the
+    /// journal recovers exactly as before, and the next compaction
+    /// overwrites the leftover.
+    #[test]
+    fn a_torn_compaction_temp_file_leaves_the_original_recovering() {
+        let path = tmp("torn-compact.jobs");
+        settled_journal(&path);
+        let original = std::fs::read(&path).expect("read original");
+        let (_journal, before) = JobJournal::open_or_create(&path, 3).expect("recover original");
+        compact_in_place(&path);
+        let compacted = std::fs::read(&path).expect("read compacted");
+        let tmp_file = crate::journal::tmp_path(&path);
+        for cut in 0..=compacted.len() {
+            std::fs::write(&path, &original).expect("restore original");
+            std::fs::write(&tmp_file, &compacted[..cut]).expect("partial temp file");
+            let (_journal, recovered) = JobJournal::open_or_create(&path, 3).expect("recover");
+            assert_eq!(table(&recovered), table(&before), "temp file cut at {cut}");
+            assert_eq!(std::fs::read(&path).expect("read"), original, "cut at {cut}");
+        }
+        compact_in_place(&path);
+        assert_eq!(std::fs::read(&path).expect("read"), compacted);
+        assert!(!tmp_file.exists());
+    }
+
+    /// A compacted journal written by an earlier build (the settled
+    /// twin of `serve.jobs`: job 4's report, job 9 refused) recovers to
+    /// the same jobs, and compacting that table again reproduces it
+    /// byte for byte.
+    #[test]
+    fn compacted_fixture_recovers_to_the_same_jobs() {
+        let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+        let fixture = std::fs::read(dir.join("serve-compacted.jobs")).expect("fixture");
+        let path = tmp("compacted-fixture.jobs");
+        std::fs::write(&path, &fixture).expect("copy fixture");
+        let (_journal, recovery) = JobJournal::open_or_create(&path, 0x5eed).expect("recover");
+        assert!(recovery.compact);
+        let report = "{\n  \"package\": \"com.example.fixture\"\n}".to_string();
+        let refusal = "bad container hex: odd length".to_string();
+        assert_eq!(
+            table(&recovery),
+            vec![(4, 0xabcd, Some(Ok(report))), (9, 0x1234, Some(Err(refusal)))]
+        );
+        assert_eq!(std::fs::read(&path).expect("read"), fixture, "file untouched");
+        let jobs =
+            recovery.jobs.iter().map(|j| (j.job, j.digest, j.result.as_ref().expect("settled")));
+        JobJournal::compact(&path, 0x5eed, jobs).expect("compact");
+        assert_eq!(std::fs::read(&path).expect("read"), fixture, "same bytes");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! `fragdroid serve` — a hardened, long-running job service over the
 //! device wire plumbing: submit a packed container, get the job
-//! acknowledged durably, poll for the finished report.
+//! acknowledged durably, wait (or poll) for the finished report.
 //!
 //! The transport is the same length-prefixed frame protocol the
 //! subprocess device agent speaks ([`fd_droidsim::proto`]): one
@@ -14,7 +14,10 @@
 //!   connection cap (excess connections get one typed
 //!   [`ServeResponse::Overloaded`] frame and are closed), per-connection
 //!   read/write deadlines, and a slow-loris idle timeout (a connection
-//!   that completes no frame within the window is dropped).
+//!   that completes no frame within the window is dropped). Nothing
+//!   ticks: the accept call blocks, session reads block under the idle
+//!   timeout, and [`ServeRequest::Wait`] sleeps on a condvar the
+//!   workers signal when a job settles.
 //!
 //! **Admission control.** Job ids are client-assigned and the queue is
 //! bounded: a full queue answers [`ServeResponse::Busy`] with a
@@ -30,12 +33,14 @@
 //! the run (same `"<fnv16hex> <json>\n"` line format as the checkpoint
 //! journal). A killed-and-restarted server replays the journal: finished
 //! jobs are served byte-identically from the journal, unfinished ones
-//! are re-queued, and clients resubmit idempotently by job id.
+//! are re-queued, and clients resubmit idempotently by job id. A clean
+//! drain compacts the journal to one record per job, so restart cost
+//! follows the job table rather than the traffic history.
 //!
 //! **Drain.** [`ServeRequest::Shutdown`] flips the server to draining:
 //! the listener stops accepting, new submissions are refused typed,
-//! workers finish every queued job, the journal is flushed, and only
-//! then are the remaining sessions closed.
+//! workers finish every queued job, the journal is flushed, the
+//! remaining sessions are closed, and the journal is compacted.
 //!
 //! Failure behavior mirrors the device agent: a malformed frame ends
 //! that session without a reply (resyncing a corrupt length-prefixed
@@ -62,17 +67,17 @@ use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// How often a socket session wakes from a blocked read to check the
-/// idle deadline and the server's stop flag. Doubles as the read
-/// timeout on the socket.
-const SESSION_TICK: Duration = Duration::from_millis(25);
+/// Back-off after a failed `accept()` (EMFILE under load), so a
+/// persistent failure does not spin the accept loop.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(10);
 
-/// How often the accept loop polls for the drain flag.
-const ACCEPT_TICK: Duration = Duration::from_millis(10);
+/// The longest one [`ServeRequest::Wait`] blocks when the idle guard is
+/// off; with it on, the cap is `idle_timeout_ms`.
+const MAX_WAIT: Duration = Duration::from_secs(30);
 
 /// Retry-after hint on [`ServeResponse::Draining`]: long enough for a
 /// restart to come back up.
@@ -108,6 +113,16 @@ pub enum ServeRequest {
     Poll {
         /// The id the submission used.
         job: u64,
+    },
+    /// Ask for a job's result, blocking until the job settles or
+    /// `timeout_ms` passes. The replies are [`ServeRequest::Poll`]'s:
+    /// `Pending` only when the timeout ran out. The server caps the
+    /// timeout at `idle_timeout_ms` (30 s when the idle guard is off).
+    Wait {
+        /// The id the submission used.
+        job: u64,
+        /// How long to block at most, milliseconds.
+        timeout_ms: u64,
     },
     /// Ask for a queue snapshot.
     Status,
@@ -372,13 +387,6 @@ enum AnyListener {
 }
 
 impl AnyListener {
-    fn set_nonblocking(&self, on: bool) -> std::io::Result<()> {
-        match self {
-            AnyListener::Tcp(l) => l.set_nonblocking(on),
-            AnyListener::Unix(l) => l.set_nonblocking(on),
-        }
-    }
-
     fn accept(&self) -> std::io::Result<AnyStream> {
         match self {
             AnyListener::Tcp(l) => l.accept().map(|(s, _)| AnyStream::Tcp(s)),
@@ -412,13 +420,6 @@ impl AnyStream {
         }
     }
 
-    fn set_nonblocking(&self, on: bool) -> std::io::Result<()> {
-        match self {
-            AnyStream::Tcp(s) => s.set_nonblocking(on),
-            AnyStream::Unix(s) => s.set_nonblocking(on),
-        }
-    }
-
     /// Sets the read deadline; `None` blocks forever.
     pub fn set_read_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
         match self {
@@ -435,10 +436,10 @@ impl AnyStream {
         }
     }
 
-    fn shutdown_both(&self) -> std::io::Result<()> {
+    fn shutdown(&self, how: std::net::Shutdown) -> std::io::Result<()> {
         match self {
-            AnyStream::Tcp(s) => s.shutdown(std::net::Shutdown::Both),
-            AnyStream::Unix(s) => s.shutdown(std::net::Shutdown::Both),
+            AnyStream::Tcp(s) => s.shutdown(how),
+            AnyStream::Unix(s) => s.shutdown(how),
         }
     }
 }
@@ -538,8 +539,7 @@ struct JobEntry {
     state: JobState,
 }
 
-/// Shared queue + job table, guarded by one mutex; the condvar wakes
-/// idle workers on submit and the drain waiter on completion.
+/// Shared queue + job table, guarded by one mutex.
 #[derive(Default)]
 struct State {
     queue: VecDeque<Job>,
@@ -557,11 +557,18 @@ struct State {
 /// reverse.
 struct Core<'a> {
     state: Mutex<State>,
+    /// Wakes idle workers: a submission or the drain.
     cvar: Condvar,
+    /// Wakes `Wait` sessions and the drain waiter: a job settled. Only
+    /// workers notify it, and it is separate from `cvar` so that a
+    /// submission's `notify_one` always reaches a worker.
+    settled: Condvar,
     options: &'a ServeOptions,
     trace_config: &'a fd_trace::TraceConfig,
     clock: fd_trace::TraceClock,
     journal: Mutex<Option<JobJournal>>,
+    /// The journal held only `Settled` records when it was opened.
+    journal_compact: bool,
     incidents: Mutex<ServeIncidents>,
     tracks: Mutex<Vec<fd_trace::TrackTrace>>,
 }
@@ -576,11 +583,13 @@ impl<'a> Core<'a> {
         let mut state = State::default();
         let mut incidents = ServeIncidents::default();
         let mut journal = None;
+        let mut journal_compact = true;
         if let Some(path) = &options.journal {
             let digest = config_digest(&options.config);
             let (j, recovery) =
                 JobJournal::open_or_create(path, digest).map_err(ServeError::Journal)?;
             incidents.torn_tail_bytes = recovery.torn_tail_bytes;
+            journal_compact = recovery.compact;
             for rec in recovery.jobs {
                 incidents.jobs_recovered += 1;
                 match rec.result {
@@ -619,10 +628,12 @@ impl<'a> Core<'a> {
         Ok(Core {
             state: Mutex::new(state),
             cvar: Condvar::new(),
+            settled: Condvar::new(),
             options,
             trace_config,
             clock: fd_trace::TraceClock::start(),
             journal: Mutex::new(journal),
+            journal_compact,
             incidents: Mutex::new(incidents),
             tracks: Mutex::new(Vec::new()),
         })
@@ -654,10 +665,56 @@ impl<'a> Core<'a> {
     fn wait_drained(&self) {
         let mut st = lock(&self.state);
         while !(st.queue.is_empty() && st.running == 0) {
-            st = match self.cvar.wait(st) {
+            st = match self.settled.wait(st) {
                 Ok(guard) => guard,
                 Err(poisoned) => poisoned.into_inner(),
             };
+        }
+    }
+
+    /// The longest one `Wait` may block.
+    fn wait_cap(&self) -> Duration {
+        match self.options.idle_timeout_ms {
+            0 => MAX_WAIT,
+            idle => Duration::from_millis(idle),
+        }
+    }
+
+    /// Drain-time compaction: rewrites the journal as one `Settled`
+    /// record per job. Skipped, leaving the file untouched, when there
+    /// is no journal, a job is still queued or running, the journal has
+    /// a latched failure, or the file is already compact and nothing
+    /// was appended since it was opened.
+    fn compact_journal(&self) -> Result<bool, JournalError> {
+        let st = lock(&self.state);
+        let mut journal = lock(&self.journal);
+        let (Some(j), Some(path)) = (journal.as_ref(), &self.options.journal) else {
+            return Ok(false);
+        };
+        if !st.queue.is_empty() || st.running > 0 || j.latched().is_err() {
+            return Ok(false);
+        }
+        if self.journal_compact && j.appended() == 0 {
+            return Ok(false);
+        }
+        let mut settled = Vec::with_capacity(st.jobs.len());
+        for (&job, entry) in &st.jobs {
+            let JobState::Done(result) = &entry.state else { return Ok(false) };
+            settled.push((job, entry.digest, result));
+        }
+        JobJournal::compact(path, config_digest(&self.options.config), settled)?;
+        // The open handle points at the replaced file; nothing may
+        // append to it any more.
+        *journal = None;
+        Ok(true)
+    }
+
+    /// Flushes and then compacts the journal after a drain, latching any
+    /// failure as an incident.
+    fn close_journal(&self) {
+        self.sync_journal();
+        if self.compact_journal().is_err() {
+            self.bump(|i| i.journal_errors += 1);
         }
     }
 }
@@ -765,17 +822,23 @@ fn handle_request(
             tracer.event(|| fd_trace::TraceEvent::JobSubmitted { job });
             (ServeResponse::Accepted { job }, false)
         }
-        ServeRequest::Poll { job } => {
-            let st = lock(&core.state);
-            let reply = match st.jobs.get(&job).map(|e| &e.state) {
-                None => ServeResponse::UnknownJob { job },
-                Some(JobState::Queued) | Some(JobState::Running) => ServeResponse::Pending { job },
-                Some(JobState::Done(Ok(json))) => ServeResponse::Report { job, json: json.clone() },
-                Some(JobState::Done(Err(reason))) => {
-                    ServeResponse::Rejected { job, reason: reason.clone() }
+        ServeRequest::Poll { job } => (poll_reply(&lock(&core.state), job), false),
+        ServeRequest::Wait { job, timeout_ms } => {
+            let deadline = Instant::now() + core.wait_cap().min(Duration::from_millis(timeout_ms));
+            let mut st = lock(&core.state);
+            while let Some(JobState::Queued | JobState::Running) =
+                st.jobs.get(&job).map(|e| &e.state)
+            {
+                let now = Instant::now();
+                if now >= deadline {
+                    break;
                 }
-            };
-            (reply, false)
+                st = match core.settled.wait_timeout(st, deadline - now) {
+                    Ok((guard, _)) => guard,
+                    Err(poisoned) => poisoned.into_inner().0,
+                };
+            }
+            (poll_reply(&st, job), false)
         }
         ServeRequest::Status => {
             let st = lock(&core.state);
@@ -810,19 +873,33 @@ fn handle_request(
     }
 }
 
-/// Deadline/stop behavior of one session.
+/// The `Poll` (and settled `Wait`) reply for `job`.
+fn poll_reply(st: &State, job: u64) -> ServeResponse {
+    match st.jobs.get(&job).map(|e| &e.state) {
+        None => ServeResponse::UnknownJob { job },
+        Some(JobState::Queued) | Some(JobState::Running) => ServeResponse::Pending { job },
+        Some(JobState::Done(Ok(json))) => ServeResponse::Report { job, json: json.clone() },
+        Some(JobState::Done(Err(reason))) => {
+            ServeResponse::Rejected { job, reason: reason.clone() }
+        }
+    }
+}
+
+/// Deadline and drain behavior of one session.
 struct SessionMode<'a> {
-    /// Close the session when no complete frame arrives within this
-    /// window (socket sessions only).
+    /// Close the session when no request arrives within this window of
+    /// the last reply (socket sessions only). The socket's read timeout
+    /// is set to the same window, so a blocked read wakes to check it.
     idle_timeout: Option<Duration>,
-    /// Server-side force-stop flag, checked every read tick.
-    stop: Option<&'a AtomicBool>,
+    /// The listener's own address: after `Bye` the session connects to
+    /// it once to wake the blocking accept (socket sessions only).
+    wake: Option<&'a ListenAddr>,
 }
 
 impl SessionMode<'_> {
-    /// Stdio: block forever, no stop flag.
+    /// Stdio: block forever, no listener to wake.
     fn blocking() -> SessionMode<'static> {
-        SessionMode { idle_timeout: None, stop: None }
+        SessionMode { idle_timeout: None, wake: None }
     }
 }
 
@@ -839,7 +916,7 @@ fn session_loop<R: Read, W: Write>(
 ) -> Result<(), ServeError> {
     let mut frames = FrameBuffer::new();
     let mut chunk = [0u8; 64 * 1024];
-    let mut last_frame = Instant::now();
+    let mut last_reply = Instant::now();
     loop {
         loop {
             let payload = match frames.next_frame() {
@@ -850,7 +927,6 @@ fn session_loop<R: Read, W: Write>(
                     return Ok(());
                 }
             };
-            last_frame = Instant::now();
             let Ok(envelope) = decode_payload::<ServeRequest>(&payload) else {
                 core.bump(|i| i.protocol_errors += 1);
                 return Ok(());
@@ -867,34 +943,36 @@ fn session_loop<R: Read, W: Write>(
                 // this one. Flipping before the write would let the
                 // listener cut this session off mid-reply.
                 core.begin_drain();
+                if let Some(addr) = mode.wake {
+                    // The accept loop blocks in `accept()`; one
+                    // connection wakes it to see the drain.
+                    let _ = AnyStream::connect(addr);
+                }
                 return written;
             }
             written?;
+            // A long `Wait` is activity, not idling: the window restarts
+            // once its reply is out.
+            last_reply = Instant::now();
         }
-        if let Some(stop) = mode.stop {
-            if stop.load(Ordering::Relaxed) {
+        // The slow-loris deadline: checked after every read, so a peer
+        // trickling bytes that never complete a frame is dropped too.
+        if let Some(idle) = mode.idle_timeout {
+            if last_reply.elapsed() >= idle {
+                core.bump(|i| i.idle_timeouts += 1);
                 return Ok(());
             }
         }
         match input.read(&mut chunk) {
             Ok(0) => return Ok(()), // client hung up
             Ok(n) => frames.push(&chunk[..n]),
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
             Err(e)
                 if matches!(
                     e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                // A read tick: enforce the slow-loris deadline, then
-                // wait for more bytes.
-                if let Some(idle) = mode.idle_timeout {
-                    if last_frame.elapsed() >= idle {
-                        core.bump(|i| i.idle_timeouts += 1);
-                        return Ok(());
-                    }
-                }
-            }
+                    std::io::ErrorKind::Interrupted
+                        | std::io::ErrorKind::WouldBlock
+                        | std::io::ErrorKind::TimedOut
+                ) => {}
             Err(e) => return Err(ServeError::io("read", e)),
         }
     }
@@ -964,7 +1042,7 @@ fn worker_loop(core: &Core<'_>, pool: &DevicePool, lane: usize) {
         }
         st.running -= 1;
         drop(st);
-        core.cvar.notify_all();
+        core.settled.notify_all();
     }
 }
 
@@ -1000,7 +1078,7 @@ pub fn serve<R: Read, W: Write>(
         core.begin_drain();
         io_result
     });
-    core.sync_journal();
+    core.close_journal();
 
     let mut trace = fd_trace::Trace::new("fragdroid serve");
     trace.absorb(tracer.finish());
@@ -1024,8 +1102,8 @@ pub fn serve_listen(
 /// arrives on any session: accepts up to the connection cap, runs one
 /// session thread per connection with read/write deadlines and the
 /// idle-timeout guard, then drains — finishes every queued job, flushes
-/// the journal, closes the remaining sessions — and returns the merged
-/// trace and incident counters.
+/// the journal, closes the remaining sessions, compacts the journal —
+/// and returns the merged trace and incident counters.
 pub fn serve_listener(
     listener: ServeListener,
     options: &ServeOptions,
@@ -1038,8 +1116,10 @@ pub fn serve_listener(
     let tracer = fd_trace::Tracer::new(trace_config, core.clock, 0);
     emit_recovery(&core, &tracer);
 
-    listener.inner.set_nonblocking(true).map_err(|e| ServeError::io("set_nonblocking", e))?;
-    let stop_sessions = AtomicBool::new(false);
+    let idle =
+        (options.idle_timeout_ms != 0).then(|| Duration::from_millis(options.idle_timeout_ms));
+    let write_timeout =
+        (options.write_timeout_ms != 0).then(|| Duration::from_millis(options.write_timeout_ms));
     let active = AtomicUsize::new(0);
     let next_conn = AtomicU64::new(1);
     let session_handles: Mutex<Vec<AnyStream>> = Mutex::new(Vec::new());
@@ -1051,58 +1131,56 @@ pub fn serve_listener(
             scope.spawn(move || worker_loop(core, pool, lane));
         }
         loop {
+            // Blocks until a connection arrives; the session that starts
+            // the drain connects once to wake it.
+            let accepted = listener.inner.accept();
             if lock(&core.state).draining {
                 break;
             }
-            match listener.inner.accept() {
+            match accepted {
                 Ok(stream) => {
                     if active.load(Ordering::Acquire) >= max_connections {
                         core.bump(|i| i.overloaded_rejections += 1);
                         reject_overloaded(stream, options);
                         continue;
                     }
-                    let Ok(()) = stream.set_nonblocking(false) else { continue };
-                    let _ = stream.set_read_timeout(Some(SESSION_TICK));
-                    if options.write_timeout_ms != 0 {
-                        let _ = stream.set_write_timeout(Some(Duration::from_millis(
-                            options.write_timeout_ms,
-                        )));
-                    }
+                    let _ = stream.set_read_timeout(idle);
+                    let _ = stream.set_write_timeout(write_timeout);
                     let Ok(handle) = stream.try_clone() else { continue };
                     lock(&session_handles).push(handle);
                     active.fetch_add(1, Ordering::AcqRel);
                     let conn = next_conn.fetch_add(1, Ordering::Relaxed);
                     let core = &core;
                     let active = &active;
-                    let stop = &stop_sessions;
+                    let wake = listener.local_addr();
                     scope.spawn(move || {
-                        run_session(core, stream, conn, workers, stop);
+                        run_session(core, stream, conn, workers, wake);
                         active.fetch_sub(1, Ordering::AcqRel);
                     });
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(ACCEPT_TICK);
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 // Transient accept failure (EMFILE under load): absorb
                 // and keep listening rather than killing the server.
                 Err(_) => {
                     core.bump(|i| i.accept_errors += 1);
-                    std::thread::sleep(ACCEPT_TICK);
+                    std::thread::sleep(ACCEPT_ERROR_BACKOFF);
                 }
             }
         }
         // Drain: workers already saw shutdown; wait until the queue is
         // empty and nothing is mid-run, make the results durable, then
-        // close what sessions remain.
+        // close what sessions remain. Shutting down only the read side
+        // wakes every session blocked in a read with EOF, while a reply
+        // already being written (a `Wait` the drain just settled) still
+        // reaches its client.
         core.wait_drained();
         core.sync_journal();
-        stop_sessions.store(true, Ordering::Relaxed);
         for handle in lock(&session_handles).drain(..) {
-            let _ = handle.shutdown_both();
+            let _ = handle.shutdown(std::net::Shutdown::Read);
         }
         Ok(())
     });
+    core.close_journal();
 
     if let ListenAddr::Unix(path) = listener.local_addr() {
         let _ = std::fs::remove_file(path);
@@ -1128,7 +1206,6 @@ fn emit_recovery(core: &Core<'_>, tracer: &fd_trace::Tracer) {
 /// Sends the one `Overloaded` frame a connection past the cap gets,
 /// best-effort, then drops the stream.
 fn reject_overloaded(stream: AnyStream, options: &ServeOptions) {
-    let _ = stream.set_nonblocking(false);
     let timeout = if options.write_timeout_ms == 0 { 1_000 } else { options.write_timeout_ms };
     let _ = stream.set_write_timeout(Some(Duration::from_millis(timeout)));
     let mut stream = stream;
@@ -1142,14 +1219,14 @@ fn reject_overloaded(stream: AnyStream, options: &ServeOptions) {
 /// One socket session: trace the connection open/close, split the
 /// stream into reader + writer halves, and run the shared session loop
 /// under the socket deadlines.
-fn run_session(core: &Core<'_>, stream: AnyStream, conn: u64, workers: usize, stop: &AtomicBool) {
+fn run_session(core: &Core<'_>, stream: AnyStream, conn: u64, workers: usize, wake: &ListenAddr) {
     let tracer = fd_trace::Tracer::new(core.trace_config, core.clock, SESSION_TRACK_BASE + conn);
     tracer.event(|| fd_trace::TraceEvent::ConnectionOpened { conn });
     core.bump(|i| i.connections_opened += 1);
     let idle = core.options.idle_timeout_ms;
     let mode = SessionMode {
         idle_timeout: (idle != 0).then(|| Duration::from_millis(idle)),
-        stop: Some(stop),
+        wake: Some(wake),
     };
     match stream.try_clone() {
         Ok(mut writer) => {
@@ -1160,7 +1237,7 @@ fn run_session(core: &Core<'_>, stream: AnyStream, conn: u64, workers: usize, st
             // The accept loop keeps a clone of this stream for the
             // drain-time sweep, so dropping our halves does not close
             // the socket — shut it down so the client sees EOF now.
-            let _ = reader.shutdown_both();
+            let _ = reader.shutdown(std::net::Shutdown::Both);
         }
         Err(_) => core.bump(|i| i.accept_errors += 1),
     }

@@ -5,6 +5,7 @@ use super::*;
 use fd_droidsim::proto::to_hex;
 use journal::JobJournal;
 use std::os::unix::net::UnixStream;
+use std::path::Path;
 
 fn request(id: u64, body: ServeRequest) -> Vec<u8> {
     encode_frame(&Envelope { id, body })
@@ -12,16 +13,26 @@ fn request(id: u64, body: ServeRequest) -> Vec<u8> {
 
 /// Reads exactly one reply frame off the stream.
 fn read_reply<R: Read>(stream: &mut R) -> Envelope<ServeResponse> {
+    read_replies(stream, 1).remove(0)
+}
+
+/// Reads exactly `n` reply frames off the stream, however the server's
+/// writes coalesce.
+fn read_replies<R: Read>(stream: &mut R, n: usize) -> Vec<Envelope<ServeResponse>> {
     let mut frames = FrameBuffer::new();
-    let mut chunk = [0u8; 4096];
-    loop {
-        if let Some(payload) = frames.next_frame().expect("server frames are well-formed") {
-            return decode_payload(&payload).expect("server replies decode");
+    let mut replies = Vec::new();
+    let mut chunk = [0u8; 64 * 1024];
+    while replies.len() < n {
+        match frames.next_frame().expect("server frames are well-formed") {
+            Some(payload) => replies.push(decode_payload(&payload).expect("server replies decode")),
+            None => {
+                let read = stream.read(&mut chunk).expect("read reply");
+                assert_ne!(read, 0, "server hung up mid-conversation");
+                frames.push(&chunk[..read]);
+            }
         }
-        let n = stream.read(&mut chunk).expect("read reply");
-        assert_ne!(n, 0, "server hung up mid-conversation");
-        frames.push(&chunk[..n]);
     }
+    replies
 }
 
 /// The quickstart app as (hex container, known inputs).
@@ -529,5 +540,301 @@ fn journal_refuses_a_different_config() {
         matches!(err, ServeError::Journal(JournalError::FingerprintMismatch { .. })),
         "got {err:?}"
     );
+    let _ = std::fs::remove_file(&path);
+}
+
+/// A server core with no workers or sessions: tests set job states by
+/// hand.
+fn idle_core<'a>(options: &'a ServeOptions, off: &'a fd_trace::TraceConfig) -> Core<'a> {
+    Core::new(options, off).expect("core")
+}
+
+/// Runs one `Wait` against `core`, returning the reply and how long it
+/// blocked.
+fn timed_wait(core: &Core<'_>, job: u64, timeout_ms: u64) -> (ServeResponse, Duration) {
+    let tracer = fd_trace::Tracer::new(core.trace_config, core.clock, 0);
+    let started = Instant::now();
+    let (reply, end) = handle_request(core, &tracer, ServeRequest::Wait { job, timeout_ms }, 1);
+    assert!(!end, "Wait never ends the session");
+    (reply, started.elapsed())
+}
+
+/// `Wait` on a queued job answers with the report as soon as a worker
+/// settles it: no client sleep, and far inside the timeout.
+#[test]
+fn wait_returns_the_report_as_soon_as_the_job_settles() {
+    let (mut client, handle) = spawn_server(ServeOptions::default());
+    client.write_all(&request(1, quickstart_submission(3))).expect("submit");
+    assert_eq!(read_reply(&mut client).body, ServeResponse::Accepted { job: 3 });
+    let started = Instant::now();
+    client.write_all(&request(2, ServeRequest::Wait { job: 3, timeout_ms: 20_000 })).expect("wait");
+    let reply = read_reply(&mut client);
+    assert_eq!(reply.id, 2);
+    let ServeResponse::Report { job: 3, json } = reply.body else {
+        panic!("expected the report, got {:?}", reply.body);
+    };
+    assert!(started.elapsed() < Duration::from_secs(10), "woken by the worker, not the timeout");
+
+    // A settled job answers at once, exactly as `Poll` does.
+    client.write_all(&request(3, ServeRequest::Poll { job: 3 })).expect("poll");
+    assert_eq!(read_reply(&mut client).body, ServeResponse::Report { job: 3, json });
+
+    client.write_all(&request(4, ServeRequest::Shutdown)).expect("shutdown");
+    assert_eq!(read_reply(&mut client).body, ServeResponse::Bye);
+    handle.join().expect("no panic").expect("no serve error");
+}
+
+/// `Wait` on an id the server never accepted answers `UnknownJob` at
+/// once instead of blocking out its timeout.
+#[test]
+fn wait_on_an_unknown_job_answers_at_once() {
+    let (options, off) = (ServeOptions::default(), fd_trace::TraceConfig::off());
+    let core = idle_core(&options, &off);
+    let (reply, took) = timed_wait(&core, 999, 20_000);
+    assert_eq!(reply, ServeResponse::UnknownJob { job: 999 });
+    assert!(took < Duration::from_secs(1), "took {took:?}");
+}
+
+/// `Wait` on a job that stays running answers `Pending` once its
+/// timeout runs out, and the server caps the timeout: at the idle
+/// window, or at `MAX_WAIT` with the idle guard off.
+#[test]
+fn wait_on_a_long_job_times_out_pending_and_is_capped() {
+    let off = fd_trace::TraceConfig::off();
+    let options = ServeOptions { idle_timeout_ms: 300, ..ServeOptions::default() };
+    let core = idle_core(&options, &off);
+    {
+        let mut st = lock(&core.state);
+        st.jobs.insert(5, JobEntry { digest: 0, state: JobState::Running });
+        st.running = 1;
+    }
+    let (reply, took) = timed_wait(&core, 5, 100);
+    assert_eq!(reply, ServeResponse::Pending { job: 5 });
+    assert!(took >= Duration::from_millis(100) && took < Duration::from_secs(2), "took {took:?}");
+
+    let (reply, took) = timed_wait(&core, 5, u64::MAX);
+    assert_eq!(reply, ServeResponse::Pending { job: 5 });
+    assert!(took >= Duration::from_millis(300) && took < Duration::from_secs(3), "took {took:?}");
+
+    let unguarded = ServeOptions { idle_timeout_ms: 0, ..ServeOptions::default() };
+    assert_eq!(idle_core(&unguarded, &off).wait_cap(), MAX_WAIT);
+}
+
+/// A `Shutdown` from one session while another blocks in `Wait`: the
+/// drain finishes every job, the waiter gets its report, and the
+/// server returns.
+#[test]
+fn shutdown_while_a_session_waits_drains_and_returns() {
+    let listener = ServeListener::bind(&ListenAddr::Tcp("127.0.0.1:0".to_string())).expect("bind");
+    let addr = listener.local_addr().clone();
+    let options = ServeOptions { workers: 1, ..ServeOptions::default() };
+    let handle = std::thread::spawn(move || {
+        serve_listener(listener, &options, &fd_trace::TraceConfig::off())
+    });
+
+    let mut waiter = AnyStream::connect(&addr).expect("connect");
+    for job in 1..=6 {
+        waiter.write_all(&request(job, quickstart_submission(job))).expect("submit");
+    }
+    waiter.flush().expect("flush");
+    let accepted = read_replies(&mut waiter, 6);
+    assert!(accepted.iter().all(|r| matches!(r.body, ServeResponse::Accepted { .. })));
+    // Six jobs queue behind one worker; block on the last while another
+    // session starts the drain.
+    waiter.write_all(&request(7, ServeRequest::Wait { job: 6, timeout_ms: 20_000 })).expect("wait");
+    waiter.flush().expect("flush");
+    shutdown_socket(&addr);
+    let reply = read_reply(&mut waiter);
+    assert!(matches!(reply.body, ServeResponse::Report { job: 6, .. }), "{reply:?}");
+    let summary = handle.join().expect("no panic").expect("no serve error");
+    assert_eq!(summary.incidents.jobs_completed, 6, "the drain finished every job");
+}
+
+/// A duplicated `Wait` frame (what the chaos transport injects) gets
+/// its own reply and the conversation stays in step; a client that
+/// duplicates every frame still converges to the same report.
+#[test]
+fn a_duplicated_wait_frame_still_converges() {
+    let listener = ServeListener::bind(&ListenAddr::Tcp("127.0.0.1:0".to_string())).expect("bind");
+    let addr = listener.local_addr().clone();
+    let options = ServeOptions::default();
+    let handle = std::thread::spawn(move || {
+        serve_listener(listener, &options, &fd_trace::TraceConfig::off())
+    });
+    let (hex, inputs) = quickstart();
+    let baseline = SubmitClient::new(addr.clone()).submit(1, &hex, &inputs).expect("settles");
+
+    let mut stream = AnyStream::connect(&addr).expect("connect");
+    let wait = request(5, ServeRequest::Wait { job: 1, timeout_ms: 20_000 });
+    stream.write_all(&wait).expect("wait");
+    stream.write_all(&wait).expect("duplicate wait");
+    stream.write_all(&request(6, ServeRequest::Status)).expect("status");
+    stream.flush().expect("flush");
+    let replies = read_replies(&mut stream, 3);
+    let JobOutcome::Report { json } = &baseline else { panic!("quickstart is not rejected") };
+    let report = ServeResponse::Report { job: 1, json: json.clone() };
+    assert_eq!((replies[0].id, &replies[0].body), (5, &report));
+    assert_eq!((replies[1].id, &replies[1].body), (5, &report));
+    assert!(matches!((replies[2].id, &replies[2].body), (6, ServeResponse::Status { .. })));
+    drop(stream);
+
+    let always_duplicate =
+        ChaosConfig { seed: 9, max_chunk: 64, stall_ms: 0, tear_per_mille: 0, dup_per_mille: 1000 };
+    let outcome = SubmitClient::new(addr.clone())
+        .with_chaos(always_duplicate)
+        .submit(2, &hex, &inputs)
+        .expect("duplicated frames settle");
+    assert_eq!(outcome, baseline);
+
+    shutdown_socket(&addr);
+    handle.join().expect("no panic").expect("no serve error");
+}
+
+/// What a restarted server answers over `journal`: `Status`, a dedup
+/// resubmission, the stored report and refusal, and a `Conflict`.
+fn restart_answers(
+    journal: &Path,
+    hex: &str,
+    inputs: &BTreeMap<String, String>,
+) -> Vec<ServeResponse> {
+    let options = ServeOptions { journal: Some(journal.to_path_buf()), ..ServeOptions::default() };
+    let (mut client, handle) = spawn_server(options);
+    let asks = [
+        ServeRequest::Status,
+        ServeRequest::Submit { job: 1, container_hex: hex.to_string(), inputs: inputs.clone() },
+        ServeRequest::Poll { job: 1 },
+        ServeRequest::Wait { job: 2, timeout_ms: 1_000 },
+        ServeRequest::Submit { job: 1, container_hex: "00".to_string(), inputs: BTreeMap::new() },
+        ServeRequest::Status,
+    ];
+    let answers = asks
+        .into_iter()
+        .enumerate()
+        .map(|(id, ask)| {
+            client.write_all(&request(id as u64, ask)).expect("request");
+            read_reply(&mut client).body
+        })
+        .collect();
+    client.write_all(&request(99, ServeRequest::Shutdown)).expect("shutdown");
+    assert_eq!(read_reply(&mut client).body, ServeResponse::Bye);
+    handle.join().expect("no panic").expect("no serve error");
+    answers
+}
+
+/// A clean drain compacts the journal to one `Settled` record per job,
+/// and a server restarted on it answers exactly as one restarted on the
+/// original journal.
+#[test]
+fn a_compacting_restart_answers_like_the_original_journal() {
+    let path = temp_path("compacting.journal");
+    let _ = std::fs::remove_file(&path);
+    let options = ServeOptions { journal: Some(path.clone()), ..ServeOptions::default() };
+    let (hex, inputs) = quickstart();
+    let (mut client, handle) = spawn_server(options);
+    let submissions = [
+        ServeRequest::Submit { job: 1, container_hex: hex.clone(), inputs: inputs.clone() },
+        ServeRequest::Submit { job: 2, container_hex: "zz".to_string(), inputs: BTreeMap::new() },
+        ServeRequest::Submit { job: 3, container_hex: hex.clone(), inputs: BTreeMap::new() },
+    ];
+    for (id, submission) in submissions.into_iter().enumerate() {
+        client.write_all(&request(id as u64, submission)).expect("submit");
+        assert!(matches!(read_reply(&mut client).body, ServeResponse::Accepted { .. }));
+    }
+    for job in 1..=3 {
+        client
+            .write_all(&request(10 + job, ServeRequest::Wait { job, timeout_ms: 20_000 }))
+            .expect("wait");
+        assert!(!matches!(read_reply(&mut client).body, ServeResponse::Pending { .. }));
+    }
+    // Every record is durable once its job settled: this is the journal
+    // a crash right now would leave.
+    let original = std::fs::read(&path).expect("read journal");
+    client.write_all(&request(99, ServeRequest::Shutdown)).expect("shutdown");
+    assert_eq!(read_reply(&mut client).body, ServeResponse::Bye);
+    handle.join().expect("no panic").expect("no serve error");
+
+    let compacted = std::fs::read(&path).expect("read compacted");
+    let text = String::from_utf8(compacted.clone()).expect("journal is text");
+    assert_eq!(text.lines().count(), 4, "header plus one record per job");
+    assert!(text.lines().skip(1).all(|l| l.contains("\"Settled\"")));
+    assert!(compacted.len() < original.len());
+
+    let original_path = temp_path("compacting-original.journal");
+    std::fs::write(&original_path, &original).expect("copy original");
+    // The job table a restart builds: ids, digests, settled results.
+    type Row = (u64, u64, Option<Result<String, String>>);
+    let table = |path: &Path| -> Vec<Row> {
+        let options = ServeOptions { journal: Some(path.to_path_buf()), ..ServeOptions::default() };
+        let off = fd_trace::TraceConfig::off();
+        let core = idle_core(&options, &off);
+        let st = lock(&core.state);
+        let settled = |state: &JobState| match state {
+            JobState::Done(result) => Some(result.clone()),
+            JobState::Queued | JobState::Running => None,
+        };
+        st.jobs.iter().map(|(&job, e)| (job, e.digest, settled(&e.state))).collect()
+    };
+    let restored = table(&path);
+    assert_eq!(restored, table(&original_path));
+    assert!(restored.iter().all(|(_, _, result)| result.is_some()), "every job settled");
+
+    let from_original = restart_answers(&original_path, &hex, &inputs);
+    let from_compacted = restart_answers(&path, &hex, &inputs);
+    assert_eq!(from_compacted, from_original);
+    assert!(matches!(from_compacted[0], ServeResponse::Status { completed: 2, rejected: 1, .. }));
+    assert!(matches!(from_compacted[3], ServeResponse::Rejected { job: 2, .. }));
+    assert!(matches!(from_compacted[4], ServeResponse::Conflict { job: 1, .. }));
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(&original_path);
+}
+
+/// Compaction only runs on a settled, healthy journal: a queued or
+/// running job, or a latched journal failure, leaves the file as it is.
+#[test]
+fn compaction_is_skipped_while_jobs_are_live_or_the_journal_failed() {
+    let path = temp_path("compact-skip.journal");
+    let _ = std::fs::remove_file(&path);
+    let options = ServeOptions { journal: Some(path.clone()), ..ServeOptions::default() };
+    {
+        let digest = config_digest(&options.config);
+        let (mut j, _) = JobJournal::open_or_create(&path, digest).expect("create");
+        j.append_submitted(1, 10, "aa", &BTreeMap::new()).expect("submit");
+        j.append_completed(1, false, "refused").expect("complete");
+    }
+    let bytes = std::fs::read(&path).expect("read");
+    let off = fd_trace::TraceConfig::off();
+    let core = idle_core(&options, &off);
+    let untouched = |core: &Core<'_>, why: &str| {
+        assert_eq!(core.compact_journal(), Ok(false), "{why}");
+        assert_eq!(std::fs::read(&path).expect("read"), bytes, "{why}");
+    };
+
+    {
+        let mut st = lock(&core.state);
+        st.queue.push_back(Job { id: 2, container: Vec::new(), inputs: BTreeMap::new() });
+        st.jobs.insert(2, JobEntry { digest: 20, state: JobState::Queued });
+    }
+    untouched(&core, "a queued job");
+    {
+        let mut st = lock(&core.state);
+        st.queue.clear();
+        st.jobs.insert(2, JobEntry { digest: 20, state: JobState::Running });
+        st.running = 1;
+    }
+    untouched(&core, "a running job");
+    {
+        let mut st = lock(&core.state);
+        st.jobs.remove(&2);
+        st.running = 0;
+    }
+    let read_only = std::fs::File::open(&path).expect("read-only handle");
+    let mut failed = JobJournal::over(read_only, &path, 1);
+    failed.append_completed(3, false, "lost").expect_err("a read-only journal fails");
+    *lock(&core.journal) = Some(failed);
+    untouched(&core, "a latched journal failure");
+
+    let healthy = idle_core(&options, &off);
+    assert_eq!(healthy.compact_journal(), Ok(true));
+    assert_ne!(std::fs::read(&path).expect("read"), bytes);
     let _ = std::fs::remove_file(&path);
 }
