@@ -168,7 +168,6 @@ fn bench_reassignment(suite: &dyn fragdroid::CorpusSource) -> (u64, u64, usize) 
     let mut options =
         DispatchOptions::new(vec![ListenAddr::Tcp("127.0.0.1:1".to_string()), live.clone()]);
     options.shards = 4;
-    options.heartbeat_interval = Duration::from_millis(50);
     options.quarantine_backoff = Duration::from_millis(200);
     options.job_deadline = Duration::from_secs(5);
     options.job_attempts = 2;

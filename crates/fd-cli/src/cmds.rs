@@ -502,30 +502,18 @@ pub fn corpus(argv: &[String]) -> Result<(), CliError> {
         }
         opts
     });
+    let options = fragdroid::SuiteOptions {
+        workers,
+        trace: trace_config,
+        pool: pool.as_ref(),
+        checkpoint: opts.as_ref(),
+        flake_retries,
+    };
     // Shard mode runs the shard's slice against its own journal; a
     // journal failure there is a shard error (exit 4), not exit 3.
     let (suite, trace) = match shard_index {
-        Some(index) => fragdroid::run_shard(
-            source,
-            &config,
-            workers,
-            &trace_config,
-            opts.as_ref().expect("checked with --shards above"),
-            flake_retries,
-            shards,
-            index,
-            pool.as_ref(),
-        )?,
-        None => {
-            let options = fragdroid::SuiteOptions {
-                workers,
-                trace: trace_config,
-                pool: pool.as_ref(),
-                checkpoint: opts.as_ref(),
-                flake_retries,
-            };
-            fragdroid::suite::run(fragdroid::SuiteSource::Corpus(source), &config, &options)?
-        }
+        Some(index) => fragdroid::run_shard(source, &config, &options, shards, index)?,
+        None => fragdroid::suite::run(fragdroid::SuiteSource::Corpus(source), &config, &options)?,
     };
     let progress = (opts.is_some() || flake_retries > 0)
         .then(|| (suite.resumed, suite.fresh, suite.remaining(), suite.torn_tail_bytes));
@@ -772,10 +760,11 @@ pub fn submit(argv: &[String]) -> Result<(), CliError> {
 /// `fragdroid dispatch --connect ADDR[,ADDR...] [--seed N] [--limit N]
 /// [--corpus DIR] [--shards N] [--checkpoint J] [--resume] ...` — split
 /// the corpus into shards and drive a farm of `fragdroid serve`
-/// endpoints to completion under time-bounded leases: a dead or
-/// quarantined worker's shards are revoked and reassigned, stragglers
-/// get backup grants, and with `--checkpoint` the coordinator journal
-/// makes `--resume` survive a coordinator kill. The merged result
+/// endpoints to completion under time-bounded leases, one thread per
+/// endpoint: a shard whose jobs fail or whose lease outlives
+/// `--lease-timeout-ms` is revoked and reassigned, stragglers get backup
+/// grants, and with `--checkpoint` the coordinator journal makes
+/// `--resume` survive a coordinator kill. The merged result
 /// renders Table 1 plus the farm appendix, and its outcome digest is
 /// byte-identical to an unsharded `fragdroid corpus` run of the same
 /// corpus and config — the endpoints must run the matching config
@@ -840,7 +829,6 @@ pub fn dispatch(argv: &[String]) -> Result<(), CliError> {
     options.journal = p.opt("checkpoint").map(std::path::PathBuf::from);
     options.resume = p.flag("resume");
     options.lease_timeout = ms(p.num("lease-timeout-ms", 120_000)?);
-    options.heartbeat_interval = ms(p.num("heartbeat-ms", 250)?);
     options.stall_timeout = ms(p.num("stall-timeout-ms", 300_000)?);
     options.quarantine_after = p.num("quarantine-after", 3)? as u32;
     options.quarantine_backoff = ms(p.num("quarantine-backoff-ms", 500)?);

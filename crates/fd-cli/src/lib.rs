@@ -235,14 +235,14 @@ USAGE:
   fragdroid dispatch --connect ADDR[,ADDR...] [--seed N] [--limit N]
                 [--corpus DIR] [--shards N] [--checkpoint J] [--resume]
                 [--deadline-ms N] [--fault-rate R] [--fault-seed N]
-                [--lease-timeout-ms N] [--heartbeat-ms N] [--stall-timeout-ms N]
+                [--lease-timeout-ms N] [--stall-timeout-ms N]
                 [--quarantine-after N] [--quarantine-backoff-ms N]
                 [--job-timeout-ms N] [--job-retries N] [--jitter-seed N]
                 [--chaos-seed N] [--json] [--trace-out T.jsonl]
                                           farm coordinator: shard the corpus
                                           across serve endpoints with
-                                          time-bounded leases, heartbeat
-                                          probes, quarantine, and automatic
+                                          time-bounded leases, straggler
+                                          backups, quarantine, and automatic
                                           reassignment; merges the shard
                                           journals to the unsharded outcome
                                           digest, renders Table 1 from the

@@ -101,7 +101,7 @@ fn three_workers_one_sigkilled_mid_run_still_render_table1_with_the_unsharded_di
     let dispatch = Command::new(env!("CARGO_BIN_EXE_fragdroid"))
         .args(["dispatch", "--connect", &connect, "--limit", "4", "--shards", "4"])
         .args(["--checkpoint", checkpoint.to_str().unwrap()])
-        .args(["--chaos-seed", "7", "--heartbeat-ms", "100"])
+        .args(["--chaos-seed", "7"])
         .args(["--quarantine-backoff-ms", "300", "--job-retries", "64"])
         .args(["--job-timeout-ms", "120000"])
         .stdin(Stdio::null())

@@ -11,11 +11,17 @@
 //! * **Leases, not assignments.** A grant is time-bounded and carries a
 //!   globally monotonic generation counter (the
 //!   [`DevicePool`](crate::pool::DevicePool) pattern, one level up). A
-//!   lease that expires — or whose endpoint fails a heartbeat probe —
-//!   is revoked and its shard goes back to the front of the queue.
-//!   Stale holders notice mid-shard (every job re-checks the lease) and
-//!   abandon their work; if a stale holder finishes anyway, first-wins
-//!   completion makes the duplicate harmless.
+//!   lease that expires, or whose holder's jobs fail, is revoked and
+//!   its shard goes back to the front of the queue. Stale holders
+//!   notice mid-shard (every job re-checks the lease) and abandon their
+//!   work; if a stale holder finishes anyway, first-wins completion
+//!   makes the duplicate harmless.
+//! * **No coordinator thread.** There is one thread per endpoint and no
+//!   heartbeat: the jobs a holder sends are its liveness signal (a
+//!   `Wait` reply at least every 500 ms, a typed error when its client
+//!   gives up). Idle workers run the farm's timeouts (lease expiry,
+//!   straggler backup, stall) under the farm lock and sleep until the
+//!   earliest of them is due.
 //! * **Quarantine with revival.** An endpoint that fails
 //!   `quarantine_after` shard attempts in a row is benched for
 //!   `quarantine_backoff` and must pass a clean-transport `Status`
@@ -51,7 +57,7 @@ use std::io::{Read as _, Write as _};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
@@ -71,7 +77,7 @@ use fd_droidsim::proto::{decode_payload, encode_frame, to_hex, Envelope, FrameBu
 /// Format version of the coordinator journal.
 pub const DISPATCH_JOURNAL_VERSION: u64 = 1;
 
-/// Clean-transport budget for one heartbeat/revival probe.
+/// Clean-transport budget for one revival probe.
 const PROBE_TIMEOUT: Duration = Duration::from_secs(1);
 
 // ---------------------------------------------------------------------------
@@ -89,10 +95,9 @@ pub struct DispatchOptions {
     pub journal: Option<PathBuf>,
     /// Resume a previous coordinator journal instead of starting fresh.
     pub resume: bool,
-    /// A lease older than this is revoked and its shard re-queued.
+    /// A lease older than this is revoked and its shard re-queued; once
+    /// the queue is empty, a lease half this old gets a straggler backup.
     pub lease_timeout: Duration,
-    /// Coordinator tick: health probes, expiry sweeps, straggler checks.
-    pub heartbeat_interval: Duration,
     /// Consecutive shard failures before an endpoint is quarantined.
     pub quarantine_after: u32,
     /// How long a quarantined endpoint sits out before a revival probe.
@@ -113,8 +118,9 @@ pub struct DispatchOptions {
 
 impl DispatchOptions {
     /// Defaults for `endpoints`: one shard per endpoint, no journal,
-    /// 120 s leases, 250 ms heartbeat, quarantine after 3 straight
-    /// failures for 500 ms, 60 s / 8-attempt jobs, 300 s stall guard.
+    /// 120 s leases (straggler backups after 60 s), quarantine after 3
+    /// straight failures for 500 ms, 60 s / 8-attempt jobs, 300 s stall
+    /// guard.
     pub fn new(endpoints: Vec<ListenAddr>) -> DispatchOptions {
         DispatchOptions {
             endpoints,
@@ -122,7 +128,6 @@ impl DispatchOptions {
             journal: None,
             resume: false,
             lease_timeout: Duration::from_secs(120),
-            heartbeat_interval: Duration::from_millis(250),
             quarantine_after: 3,
             quarantine_backoff: Duration::from_millis(500),
             job_deadline: Duration::from_secs(60),
@@ -240,7 +245,7 @@ pub(crate) enum DispatchRecord {
         /// The lease's generation counter.
         generation: u64,
     },
-    /// A lease was revoked (expiry, probe failure, or a failed run).
+    /// A lease was revoked (expiry, or its holder's jobs failed).
     Revoked {
         /// The shard whose lease was revoked.
         shard: usize,
@@ -428,7 +433,8 @@ pub struct DispatchRun {
     pub merged: MergedRun,
     /// Leases, reassignments, quarantines, waste.
     pub summary: DispatchSummary,
-    /// The coordinator's trace (track 0) plus one track per endpoint.
+    /// One track per endpoint (track `i + 1` for endpoint `i`); a lease
+    /// sweep's events land on the track of the worker that ran it.
     pub trace: fd_trace::Trace,
 }
 
@@ -473,6 +479,7 @@ impl WorkerSlot {
 
 /// The shared lease machine, guarded by one mutex.
 struct Farm {
+    shards: usize,
     pending: VecDeque<usize>,
     leases: Vec<Lease>,
     done: BTreeSet<usize>,
@@ -481,7 +488,6 @@ struct Farm {
     revoked_at: Vec<Option<Instant>>,
     workers: Vec<WorkerSlot>,
     next_generation: u64,
-    shutdown: bool,
     fatal: Option<DispatchError>,
     last_progress: Instant,
     reassignments: usize,
@@ -490,7 +496,34 @@ struct Farm {
     reassignment_latencies: Vec<Duration>,
 }
 
-/// Everything worker threads and the coordinator share by reference.
+impl Farm {
+    /// A farm of `endpoints` workers with every shard not in `done`
+    /// queued, in order.
+    fn new(shards: usize, done: BTreeSet<usize>, endpoints: usize, now: Instant) -> Farm {
+        Farm {
+            shards,
+            pending: (0..shards).filter(|s| !done.contains(s)).collect(),
+            leases: Vec::new(),
+            done,
+            revoked_at: vec![None; shards],
+            workers: vec![WorkerSlot::new(); endpoints],
+            next_generation: 0,
+            fatal: None,
+            last_progress: now,
+            reassignments: 0,
+            stragglers: 0,
+            wasted: 0,
+            reassignment_latencies: Vec::new(),
+        }
+    }
+
+    /// Every shard is done or the run failed: workers stop.
+    fn over(&self) -> bool {
+        self.fatal.is_some() || self.done.len() == self.shards
+    }
+}
+
+/// Everything worker threads share by reference.
 struct DispatchCtx<'a> {
     source: &'a dyn CorpusSource,
     options: &'a DispatchOptions,
@@ -507,26 +540,40 @@ struct DispatchCtx<'a> {
 }
 
 impl DispatchCtx<'_> {
-    /// Appends one record to the coordinator journal (fsync'd per
-    /// record). An append failure is fatal: a journal whose durability
-    /// cannot be trusted is worse than stopping.
-    fn append(&self, record: &DispatchRecord) {
-        let Some(writer) = self.writer else { return };
-        if let Err(error) = lock(writer).append(record) {
-            self.fail(error);
+    /// Appends `record` to the coordinator journal (fsync'd per record)
+    /// and traces it on `tracer`'s track. Call it off the farm lock. An
+    /// append failure is fatal: a journal whose durability cannot be
+    /// trusted is worse than stopping.
+    fn publish(&self, tracer: &fd_trace::Tracer, record: &DispatchRecord) {
+        use fd_trace::TraceEvent::{LeaseGranted, LeaseRevoked, WorkerQuarantined};
+        if let Some(writer) = self.writer {
+            if let Err(error) = lock(writer).append(record) {
+                self.fail(error);
+            }
         }
+        let event = match *record {
+            DispatchRecord::Granted { shard, worker, generation } => {
+                LeaseGranted { shard: shard as u64, worker: worker as u64, generation }
+            }
+            DispatchRecord::Revoked { shard, worker, generation } => {
+                LeaseRevoked { shard: shard as u64, worker: worker as u64, generation }
+            }
+            DispatchRecord::Quarantined { worker } => WorkerQuarantined { worker: worker as u64 },
+            DispatchRecord::Header(_) | DispatchRecord::ShardDone { .. } => return,
+        };
+        tracer.event(|| event);
     }
 
     /// Stops the run on a journal failure, keeping the first one.
     fn fail(&self, error: JournalError) {
         let mut g = lock(self.farm);
         g.fatal.get_or_insert(DispatchError::Journal(error));
-        g.shutdown = true;
         self.cv.notify_all();
     }
 }
 
 /// What an idle worker thread should do next, decided under the lock.
+#[derive(Debug, PartialEq)]
 enum Action {
     Exit,
     Wait(Duration),
@@ -535,32 +582,37 @@ enum Action {
 }
 
 /// Removes `worker`'s lease on `(shard, generation)` if it still holds
-/// it; `false` means the coordinator already revoked it.
-fn remove_lease(g: &mut Farm, shard: usize, worker: usize, generation: u64) -> bool {
-    let before = g.leases.len();
-    g.leases.retain(|l| !(l.shard == shard && l.worker == worker && l.generation == generation));
-    g.leases.len() != before
+/// it; `None` means a sweep already revoked it.
+fn remove_lease(g: &mut Farm, shard: usize, worker: usize, generation: u64) -> Option<Lease> {
+    let at = g
+        .leases
+        .iter()
+        .position(|l| l.shard == shard && l.worker == worker && l.generation == generation)?;
+    Some(g.leases.remove(at))
 }
 
-/// Puts a shard back at the front of the queue unless it is done, still
-/// leased elsewhere, or already queued. `revoked` stamps the clock the
-/// reassignment latency is measured from.
-fn requeue(g: &mut Farm, shard: usize, revoked: Option<Instant>) {
-    if g.done.contains(&shard)
+/// Settles a lease already removed from the farm as failed: puts its
+/// shard back at the front of the queue (unless it is done, leased
+/// elsewhere, or already queued), stamping the clock its reassignment
+/// latency is measured from, and counts a failure against its holder,
+/// benching it after `quarantine_after` in a row. Pushes the `Revoked`
+/// (and `Quarantined`) records for the caller to publish off the lock.
+fn revoke(
+    g: &mut Farm,
+    lease: Lease,
+    options: &DispatchOptions,
+    now: Instant,
+    records: &mut Vec<DispatchRecord>,
+) {
+    let Lease { shard, worker, generation, .. } = lease;
+    if !(g.done.contains(&shard)
         || g.leases.iter().any(|l| l.shard == shard)
-        || g.pending.contains(&shard)
+        || g.pending.contains(&shard))
     {
-        return;
+        g.revoked_at[shard] = Some(now);
+        g.pending.push_front(shard);
     }
-    if let Some(at) = revoked {
-        g.revoked_at[shard] = Some(at);
-    }
-    g.pending.push_front(shard);
-}
-
-/// Counts one failed shard attempt against `worker`; `true` means the
-/// failure tipped it into quarantine (callers journal + trace that).
-fn bump_failure(g: &mut Farm, worker: usize, options: &DispatchOptions, now: Instant) -> bool {
+    records.push(DispatchRecord::Revoked { shard, worker, generation });
     let slot = &mut g.workers[worker];
     slot.failures += 1;
     slot.consecutive_failures += 1;
@@ -569,19 +621,95 @@ fn bump_failure(g: &mut Farm, worker: usize, options: &DispatchOptions, now: Ins
         slot.quarantines += 1;
         slot.quarantined_until = Some(now + options.quarantine_backoff);
         slot.needs_probe = true;
-        true
-    } else {
-        false
+        records.push(DispatchRecord::Quarantined { worker });
     }
 }
 
-fn next_action(g: &mut Farm, worker: usize, ctx: &DispatchCtx<'_>, now: Instant) -> Action {
-    if g.shutdown || g.fatal.is_some() || g.done.len() == ctx.shards {
+/// The farm's timeouts, due at `now`: expired leases are revoked,
+/// stragglers get a backup once the queue is empty, and a run with no
+/// progress for `stall_timeout` fails typed.
+fn sweep(g: &mut Farm, options: &DispatchOptions, now: Instant, records: &mut Vec<DispatchRecord>) {
+    // Expired leases: the holder is presumed dead or wedged.
+    let (expired, live) = std::mem::take(&mut g.leases)
+        .into_iter()
+        .partition(|l| now.duration_since(l.granted_at) >= options.lease_timeout);
+    g.leases = live;
+    for lease in expired {
+        revoke(g, lease, options, now, records);
+    }
+    // Stragglers: the queue is dry, so idle endpoints may as well race
+    // the slowest in-flight shards.
+    if g.pending.is_empty() {
+        let marked: Vec<usize> = g
+            .leases
+            .iter()
+            .filter(|l| now.duration_since(l.granted_at) >= options.lease_timeout / 2)
+            .map(|l| l.shard)
+            .collect();
+        for shard in marked {
+            if g.done.contains(&shard)
+                || g.pending.contains(&shard)
+                || g.leases.iter().filter(|l| l.shard == shard).count() != 1
+            {
+                continue;
+            }
+            g.pending.push_back(shard);
+            g.stragglers += 1;
+        }
+    }
+    // Total stall: nothing has moved for stall_timeout.
+    if now.duration_since(g.last_progress) >= options.stall_timeout {
+        let (leased, queued) = (g.leases.len(), g.pending.len());
+        g.fatal = Some(DispatchError::Stalled {
+            completed: g.done.len(),
+            shards: g.shards,
+            detail: format!(
+                "no progress for {:?} ({leased} leases in flight, {queued} shards queued, \
+                 every endpoint dead or quarantined)",
+                options.stall_timeout
+            ),
+        });
+    }
+}
+
+/// How long an idle worker may sleep after a sweep at `now`: until the
+/// next lease expiry, straggler mark, or the stall deadline. A mark
+/// already passed is skipped: the sweep backed its shard up, or the
+/// shard is done or backed up already, or the queue was not empty —
+/// and while it is not, only a benched worker waits, which wakes when
+/// its quarantine ends.
+fn next_deadline(g: &Farm, options: &DispatchOptions, now: Instant) -> Duration {
+    let stall = options.stall_timeout.saturating_sub(now.duration_since(g.last_progress));
+    g.leases
+        .iter()
+        .flat_map(|l| {
+            let age = now.duration_since(l.granted_at);
+            [options.lease_timeout, options.lease_timeout / 2].map(|t| t.saturating_sub(age))
+        })
+        .filter(|left| !left.is_zero())
+        .fold(stall, Duration::min)
+}
+
+/// Decides what idle `worker` does next at `now`, under the farm lock.
+/// It runs the farm's timeouts first ([`sweep`]), pushing the records
+/// they produce onto `records` for the caller to publish once the lock
+/// is released; a `Wait` lasts until the earliest deadline still ahead.
+fn next_action(
+    g: &mut Farm,
+    worker: usize,
+    options: &DispatchOptions,
+    now: Instant,
+    records: &mut Vec<DispatchRecord>,
+) -> Action {
+    if !g.over() {
+        sweep(g, options, now, records);
+    }
+    if g.over() {
         return Action::Exit;
     }
     if let Some(until) = g.workers[worker].quarantined_until {
         if now < until {
-            return Action::Wait(until.duration_since(now).min(ctx.options.heartbeat_interval));
+            return Action::Wait(next_deadline(g, options, now).min(until.duration_since(now)));
         }
         // Quarantine elapsed: the endpoint earns its way back with a
         // clean probe before any lease.
@@ -591,20 +719,12 @@ fn next_action(g: &mut Farm, worker: usize, ctx: &DispatchCtx<'_>, now: Instant)
     if g.workers[worker].needs_probe {
         return Action::Probe;
     }
-    let mut i = 0;
-    while i < g.pending.len() {
-        let shard = g.pending[i];
+    // An idle worker holds no lease, so any queued shard not yet done
+    // is its to take, straggler backups included.
+    while let Some(shard) = g.pending.pop_front() {
         if g.done.contains(&shard) {
-            g.pending.remove(i);
             continue;
         }
-        if g.leases.iter().any(|l| l.shard == shard && l.worker == worker) {
-            // A straggler backup of a shard this worker already holds
-            // is pointless; leave it for someone else.
-            i += 1;
-            continue;
-        }
-        g.pending.remove(i);
         let generation = g.next_generation;
         g.next_generation += 1;
         g.leases.push(Lease { shard, worker, generation, granted_at: now });
@@ -618,7 +738,7 @@ fn next_action(g: &mut Farm, worker: usize, ctx: &DispatchCtx<'_>, now: Instant)
         }
         return Action::Run { shard, generation, reassigned };
     }
-    Action::Wait(ctx.options.heartbeat_interval)
+    Action::Wait(next_deadline(g, options, now))
 }
 
 // ---------------------------------------------------------------------------
@@ -676,8 +796,8 @@ fn run_shard_over_wire(
     for (local, global) in range.enumerate() {
         {
             let g = lock(ctx.farm);
-            if g.shutdown || g.fatal.is_some() {
-                return Err("coordinator shut down mid-shard".to_string());
+            if g.over() {
+                return Err("dispatch ended mid-shard".to_string());
             }
             if !g
                 .leases
@@ -747,7 +867,9 @@ fn run_shard_over_wire(
 }
 
 /// One endpoint's worker thread: claim a shard, drive it, commit or
-/// fail, repeat until the farm shuts down.
+/// fail, repeat until every shard is done or the run fails. While idle
+/// it runs the farm's timeouts ([`next_action`]) and publishes what
+/// they revoke on its own trace track.
 fn worker_loop(
     ctx: &DispatchCtx<'_>,
     worker: usize,
@@ -755,17 +877,30 @@ fn worker_loop(
     trace_config: &fd_trace::TraceConfig,
 ) -> fd_trace::TrackTrace {
     let tracer = fd_trace::Tracer::new(trace_config, clock, worker as u64 + 1);
+    let mut records = Vec::new();
     loop {
         let action = {
             let mut g = lock(ctx.farm);
-            next_action(&mut g, worker, ctx, Instant::now())
+            let mut action = next_action(&mut g, worker, ctx.options, Instant::now(), &mut records);
+            // Sleep without releasing the lock after deciding, so no
+            // notify is lost; a sweep's records are published first.
+            while records.is_empty() {
+                let Action::Wait(timeout) = action else { break };
+                g = ctx.cv.wait_timeout(g, timeout).unwrap_or_else(PoisonError::into_inner).0;
+                action = next_action(&mut g, worker, ctx.options, Instant::now(), &mut records);
+            }
+            if !records.is_empty() || action == Action::Exit {
+                ctx.cv.notify_all();
+            }
+            action
         };
+        for record in records.drain(..) {
+            ctx.publish(&tracer, &record);
+        }
         match action {
             Action::Exit => break,
-            Action::Wait(duration) => {
-                let g = lock(ctx.farm);
-                drop(ctx.cv.wait_timeout(g, duration));
-            }
+            // The sweep's records are published; decide again.
+            Action::Wait(_) => {}
             Action::Probe => {
                 let healthy = probe_endpoint(&ctx.options.endpoints[worker], PROBE_TIMEOUT);
                 let mut g = lock(ctx.farm);
@@ -784,12 +919,7 @@ fn worker_loop(
                 }
             }
             Action::Run { shard, generation, reassigned } => {
-                ctx.append(&DispatchRecord::Granted { shard, worker, generation });
-                tracer.event(|| fd_trace::TraceEvent::LeaseGranted {
-                    shard: shard as u64,
-                    worker: worker as u64,
-                    generation,
-                });
+                ctx.publish(&tracer, &DispatchRecord::Granted { shard, worker, generation });
                 if reassigned {
                     tracer.event(|| fd_trace::TraceEvent::ShardReassigned {
                         shard: shard as u64,
@@ -828,196 +958,30 @@ fn worker_loop(
                             won
                         };
                         if won && !ctx.journaled_done.contains(&shard) {
-                            ctx.append(&DispatchRecord::ShardDone {
-                                shard,
-                                worker,
-                                generation,
-                                apps: outcomes.len(),
-                            });
+                            let apps = outcomes.len();
+                            let done =
+                                DispatchRecord::ShardDone { shard, worker, generation, apps };
+                            ctx.publish(&tracer, &done);
                         }
                     }
                     Err(_reason) => {
-                        let (had_lease, quarantined) = {
+                        {
                             let mut g = lock(ctx.farm);
-                            let had = remove_lease(&mut g, shard, worker, generation);
-                            let mut quarantined = false;
-                            if had {
-                                let now = Instant::now();
-                                requeue(&mut g, shard, Some(now));
-                                quarantined = bump_failure(&mut g, worker, ctx.options, now);
+                            // If a sweep revoked the lease first it also
+                            // journaled the revocation; only a failure
+                            // we discovered ourselves is ours to record.
+                            if let Some(lease) = remove_lease(&mut g, shard, worker, generation) {
+                                revoke(&mut g, lease, ctx.options, Instant::now(), &mut records);
                                 ctx.cv.notify_all();
                             }
-                            (had, quarantined)
-                        };
-                        // If the coordinator revoked the lease first it
-                        // also journaled the revocation; only a failure
-                        // we discovered ourselves is ours to record.
-                        if had_lease {
-                            ctx.append(&DispatchRecord::Revoked { shard, worker, generation });
-                            tracer.event(|| fd_trace::TraceEvent::LeaseRevoked {
-                                shard: shard as u64,
-                                worker: worker as u64,
-                                generation,
-                            });
-                            if quarantined {
-                                ctx.append(&DispatchRecord::Quarantined { worker });
-                                tracer.event(|| fd_trace::TraceEvent::WorkerQuarantined {
-                                    worker: worker as u64,
-                                });
-                            }
+                        }
+                        for record in records.drain(..) {
+                            ctx.publish(&tracer, &record);
                         }
                     }
                 }
             }
         }
-    }
-    tracer.finish()
-}
-
-// ---------------------------------------------------------------------------
-// Coordinator loop
-
-/// The coordinator's own duties, on the calling thread: revoke expired
-/// leases, heartbeat-probe busy endpoints, re-dispatch stragglers, and
-/// fail typed on a total stall.
-fn coordinator_loop(
-    ctx: &DispatchCtx<'_>,
-    clock: fd_trace::TraceClock,
-    trace_config: &fd_trace::TraceConfig,
-) -> fd_trace::TrackTrace {
-    let tracer = fd_trace::Tracer::new(trace_config, clock, 0);
-    loop {
-        let mut revoked: Vec<(usize, usize, u64)> = Vec::new();
-        let mut quarantined: Vec<usize> = Vec::new();
-        let mut probes: Vec<usize> = Vec::new();
-        let exit = {
-            let mut g = lock(ctx.farm);
-            if g.done.len() == ctx.shards || g.fatal.is_some() || g.shutdown {
-                g.shutdown = true;
-                ctx.cv.notify_all();
-                true
-            } else {
-                let now = Instant::now();
-                // Expired leases: the holder is presumed dead or wedged.
-                let mut idx = 0;
-                while idx < g.leases.len() {
-                    if now.duration_since(g.leases[idx].granted_at) >= ctx.options.lease_timeout {
-                        let lease = g.leases.remove(idx);
-                        requeue(&mut g, lease.shard, Some(now));
-                        if bump_failure(&mut g, lease.worker, ctx.options, now) {
-                            quarantined.push(lease.worker);
-                        }
-                        revoked.push((lease.shard, lease.worker, lease.generation));
-                        ctx.cv.notify_all();
-                    } else {
-                        idx += 1;
-                    }
-                }
-                // Stragglers: the queue is dry, so idle endpoints may
-                // as well race the slowest in-flight shards.
-                if g.pending.is_empty() {
-                    let candidates: Vec<usize> = g
-                        .leases
-                        .iter()
-                        .filter(|l| {
-                            now.duration_since(l.granted_at) >= ctx.options.lease_timeout / 2
-                        })
-                        .map(|l| l.shard)
-                        .collect();
-                    for shard in candidates {
-                        if g.done.contains(&shard)
-                            || g.pending.contains(&shard)
-                            || g.leases.iter().filter(|l| l.shard == shard).count() != 1
-                        {
-                            continue;
-                        }
-                        g.pending.push_back(shard);
-                        g.stragglers += 1;
-                        ctx.cv.notify_all();
-                    }
-                }
-                // Total stall: nothing has moved for stall_timeout.
-                if now.duration_since(g.last_progress) >= ctx.options.stall_timeout {
-                    let leased = g.leases.len();
-                    let queued = g.pending.len();
-                    g.fatal = Some(DispatchError::Stalled {
-                        completed: g.done.len(),
-                        shards: ctx.shards,
-                        detail: format!(
-                            "no progress for {:?} ({leased} leases in flight, {queued} shards \
-                             queued, every endpoint dead or quarantined)",
-                            ctx.options.stall_timeout
-                        ),
-                    });
-                    g.shutdown = true;
-                    ctx.cv.notify_all();
-                }
-                probes = g
-                    .leases
-                    .iter()
-                    .map(|l| l.worker)
-                    .collect::<BTreeSet<usize>>()
-                    .into_iter()
-                    .collect();
-                g.shutdown
-            }
-        };
-        for &(shard, worker, generation) in &revoked {
-            ctx.append(&DispatchRecord::Revoked { shard, worker, generation });
-            tracer.event(|| fd_trace::TraceEvent::LeaseRevoked {
-                shard: shard as u64,
-                worker: worker as u64,
-                generation,
-            });
-        }
-        for &worker in &quarantined {
-            ctx.append(&DispatchRecord::Quarantined { worker });
-            tracer.event(|| fd_trace::TraceEvent::WorkerQuarantined { worker: worker as u64 });
-        }
-        if exit {
-            break;
-        }
-        // Heartbeats, off the lock: a failed probe revokes everything
-        // the endpoint holds rather than waiting out the lease.
-        for worker in probes {
-            if probe_endpoint(&ctx.options.endpoints[worker], PROBE_TIMEOUT).is_ok() {
-                continue;
-            }
-            let mut dead: Vec<(usize, u64)> = Vec::new();
-            let mut benched = false;
-            {
-                let mut g = lock(ctx.farm);
-                let now = Instant::now();
-                let mut idx = 0;
-                while idx < g.leases.len() {
-                    if g.leases[idx].worker == worker {
-                        let lease = g.leases.remove(idx);
-                        requeue(&mut g, lease.shard, Some(now));
-                        dead.push((lease.shard, lease.generation));
-                    } else {
-                        idx += 1;
-                    }
-                }
-                if !dead.is_empty() {
-                    benched = bump_failure(&mut g, worker, ctx.options, now);
-                    ctx.cv.notify_all();
-                }
-            }
-            for &(shard, generation) in &dead {
-                ctx.append(&DispatchRecord::Revoked { shard, worker, generation });
-                tracer.event(|| fd_trace::TraceEvent::LeaseRevoked {
-                    shard: shard as u64,
-                    worker: worker as u64,
-                    generation,
-                });
-            }
-            if benched {
-                ctx.append(&DispatchRecord::Quarantined { worker });
-                tracer.event(|| fd_trace::TraceEvent::WorkerQuarantined { worker: worker as u64 });
-            }
-        }
-        let g = lock(ctx.farm);
-        drop(ctx.cv.wait_timeout(g, ctx.options.heartbeat_interval));
     }
     tracer.finish()
 }
@@ -1125,21 +1089,7 @@ pub fn dispatch(
         }
     };
 
-    let farm = Mutex::new(Farm {
-        pending: (0..shards).filter(|s| !done.contains(s)).collect(),
-        leases: Vec::new(),
-        done,
-        revoked_at: vec![None; shards],
-        workers: vec![WorkerSlot::new(); options.endpoints.len()],
-        next_generation: 0,
-        shutdown: false,
-        fatal: None,
-        last_progress: Instant::now(),
-        reassignments: 0,
-        stragglers: 0,
-        wasted: 0,
-        reassignment_latencies: Vec::new(),
-    });
+    let farm = Mutex::new(Farm::new(shards, done, options.endpoints.len(), Instant::now()));
     let cv = Condvar::new();
     let ctx = DispatchCtx {
         source,
@@ -1155,18 +1105,17 @@ pub fn dispatch(
     };
 
     let clock = fd_trace::TraceClock::start();
-    let mut tracks: Vec<fd_trace::TrackTrace> = Vec::new();
-    std::thread::scope(|scope| {
+    let tracks: Vec<fd_trace::TrackTrace> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..options.endpoints.len())
             .map(|worker| {
                 let ctx = &ctx;
                 scope.spawn(move || worker_loop(ctx, worker, clock, trace_config))
             })
             .collect();
-        tracks.push(coordinator_loop(&ctx, clock, trace_config));
-        for handle in handles {
-            tracks.push(handle.join().expect("dispatch worker thread must not panic"));
-        }
+        handles
+            .into_iter()
+            .map(|handle| handle.join().expect("dispatch worker thread must not panic"))
+            .collect()
     });
 
     let summary = {
@@ -1416,7 +1365,6 @@ mod tests {
         options.job_deadline = Duration::from_secs(5);
         options.job_attempts = 2;
         options.quarantine_backoff = Duration::from_millis(100);
-        options.heartbeat_interval = Duration::from_millis(50);
         options.stall_timeout = Duration::from_secs(60);
         let run = dispatch(&corpus, &config, &options, &off).expect("dispatch completes");
         shutdown(&live, server);
@@ -1432,6 +1380,100 @@ mod tests {
             "the live endpoint completes everything: {:?}",
             run.summary
         );
+    }
+
+    #[test]
+    fn wedged_endpoint_shard_is_taken_over_while_its_holder_blocks() {
+        let corpus = corpus(4);
+        let config = FragDroidConfig::default();
+        let off = fd_trace::TraceConfig::off();
+        let options = SuiteOptions { workers: 2, ..SuiteOptions::default() };
+        let (reference, _) =
+            run(SuiteSource::Corpus(&corpus), &config, &options).expect("no journal");
+        let reference = reference.run;
+
+        let (live, server) = spawn_server(1);
+        // Held open but never accepted from: the kernel completes every
+        // handshake and nothing ever replies, so a job sent there blocks
+        // until its client gives up.
+        let wedged = std::net::TcpListener::bind("127.0.0.1:0").expect("bind a wedged listener");
+        let wedged_addr = wedged.local_addr().expect("wedged listener address").to_string();
+        let mut options = DispatchOptions::new(vec![ListenAddr::Tcp(wedged_addr), live.clone()]);
+        options.shards = 2;
+        options.lease_timeout = Duration::from_secs(2);
+        options.job_attempts = 1;
+        options.job_deadline = Duration::from_secs(3);
+        let run = dispatch(&corpus, &config, &options, &off).expect("dispatch completes");
+        shutdown(&live, server);
+        drop(wedged);
+
+        assert_eq!(run.merged.run.outcome_digest(), reference.outcome_digest());
+        assert!(run.summary.workers[0].assignments > 0, "the wedged endpoint held a lease");
+        assert_eq!(
+            run.summary.workers[1].shards_completed, 2,
+            "the live endpoint commits every shard: {:?}",
+            run.summary
+        );
+    }
+
+    #[test]
+    fn idle_workers_sweep_expiry_stragglers_and_stalls() {
+        let t0 = Instant::now();
+        let at = |secs: u64| t0 + Duration::from_secs(secs);
+        let secs = Duration::from_secs;
+        let mut options = DispatchOptions::new(Vec::new());
+        options.lease_timeout = secs(10);
+        options.stall_timeout = secs(100);
+        options.quarantine_backoff = secs(30);
+        let mut records = Vec::new();
+        let granted = |shard, generation| Action::Run { shard, generation, reassigned: false };
+
+        // Straggler backup: only once the queue is empty and the lease
+        // is at least lease_timeout / 2 old; the wait ends at that mark.
+        let mut g = Farm::new(2, BTreeSet::new(), 3, t0);
+        assert_eq!(next_action(&mut g, 0, &options, at(0), &mut records), granted(0, 0));
+        assert_eq!(next_action(&mut g, 1, &options, at(2), &mut records), granted(1, 1));
+        assert_eq!(next_action(&mut g, 2, &options, at(4), &mut records), Action::Wait(secs(1)));
+        assert_eq!(g.stragglers, 0);
+        assert_eq!(next_action(&mut g, 2, &options, at(5), &mut records), granted(0, 2));
+        assert_eq!(g.stragglers, 1);
+        // A queued shard holds the backup back; a benched worker waits
+        // for the earliest of expiry (4 s), stall and its quarantine.
+        let mut g = Farm::new(3, BTreeSet::new(), 3, t0);
+        assert_eq!(next_action(&mut g, 0, &options, at(0), &mut records), granted(0, 0));
+        assert_eq!(next_action(&mut g, 1, &options, at(0), &mut records), granted(1, 1));
+        g.workers[2].quarantined_until = Some(at(40));
+        assert_eq!(next_action(&mut g, 2, &options, at(6), &mut records), Action::Wait(secs(4)));
+        assert_eq!((g.stragglers, g.pending.iter().copied().collect::<Vec<_>>()), (0, vec![2]));
+        assert!(records.is_empty());
+
+        // Lease expiry: requeued at the front, a failure against the
+        // holder, Revoked journaled, and Quarantined once it is benched.
+        options.quarantine_after = 1;
+        assert_eq!(next_action(&mut g, 2, &options, at(10), &mut records), Action::Wait(secs(30)));
+        assert_eq!(g.pending.iter().copied().collect::<Vec<_>>(), vec![1, 0, 2]);
+        assert_eq!((g.workers[0].failures, g.workers[1].failures), (1, 1));
+        assert_eq!(g.workers[0].quarantined_until, Some(at(40)));
+        assert!(matches!(
+            records[..],
+            [
+                DispatchRecord::Revoked { shard: 0, worker: 0, generation: 0 },
+                DispatchRecord::Quarantined { worker: 0 },
+                DispatchRecord::Revoked { shard: 1, worker: 1, generation: 1 },
+                DispatchRecord::Quarantined { worker: 1 },
+            ]
+        ));
+        g.workers[2].quarantined_until = None;
+        let regrant = next_action(&mut g, 2, &options, at(11), &mut records);
+        assert_eq!(regrant, Action::Run { shard: 1, generation: 2, reassigned: true });
+        assert_eq!(g.reassignment_latencies, vec![secs(1)]);
+
+        // Stall: no grant, job or completion for stall_timeout.
+        let mut g = Farm::new(1, BTreeSet::new(), 1, t0);
+        g.workers[0].quarantined_until = Some(at(200));
+        assert_eq!(next_action(&mut g, 0, &options, at(99), &mut records), Action::Wait(secs(1)));
+        assert_eq!(next_action(&mut g, 0, &options, at(100), &mut records), Action::Exit);
+        assert!(matches!(g.fatal, Some(DispatchError::Stalled { completed: 0, shards: 1, .. })));
     }
 
     #[test]

@@ -28,10 +28,13 @@
 //! * device incidents are a live-pool observation, not a journaled
 //!   fact, so the merged metrics report 0.
 
-use crate::checkpoint::{load_journal, Fingerprint, FlakeSummary, JournalError};
+use crate::checkpoint::{
+    load_journal, CheckpointOptions, CheckpointedSuite, Fingerprint, FlakeSummary, JournalError,
+};
 use crate::config::FragDroidConfig;
 use crate::suite::{
-    assemble_metrics, AppMetrics, AppOutcome, CorpusSource, SuiteContainer, SuiteRun, SuiteSource,
+    assemble_metrics, AppMetrics, AppOutcome, CorpusSource, SuiteContainer, SuiteOptions, SuiteRun,
+    SuiteSource,
 };
 use std::collections::BTreeMap;
 use std::fmt;
@@ -141,6 +144,12 @@ pub enum ShardError {
         /// The streaming failure, rendered.
         detail: String,
     },
+    /// A shard was asked to run without a checkpoint: its journal path
+    /// is the checkpoint path with a shard suffix, so it needs one.
+    NoCheckpoint {
+        /// The shard's index within the split.
+        shard: usize,
+    },
 }
 
 impl fmt::Display for ShardError {
@@ -161,6 +170,9 @@ impl fmt::Display for ShardError {
                  (resume it with the same --shards/--shard-index before merging)"
             ),
             ShardError::Source { detail } => write!(f, "corpus source failed: {detail}"),
+            ShardError::NoCheckpoint { shard } => {
+                write!(f, "shard {shard} needs a checkpoint path to derive its journal from")
+            }
         }
     }
 }
@@ -193,40 +205,28 @@ pub struct MergedRun {
     pub shards: Vec<ShardStat>,
 }
 
-/// Runs shard `index` of `shards`: the checkpointed suite over the
-/// shard's slice, journaling to [`shard_journal_path`] derived from
-/// `base.path`. Resume (`base.resume`) and `base.app_budget` apply to
-/// the shard's own journal, so a killed shard picks up exactly where it
-/// stopped.
+/// Runs shard `index` of `shards`: the suite over the shard's slice
+/// with `options`, journaling to [`shard_journal_path`] derived from the
+/// checkpoint's path. Resume and the app budget apply to the shard's
+/// own journal, so a killed shard picks up exactly where it stopped.
 ///
 /// # Errors
 /// [`ShardError::Split`] if `shards == 0` or `index >= shards`;
+/// [`ShardError::NoCheckpoint`] when `options.checkpoint` is `None`;
 /// [`ShardError::Journal`] when the shard's own journal cannot be
 /// written, resumed, or fingerprint-matched.
-#[allow(clippy::too_many_arguments)]
 pub fn run_shard(
     source: &dyn CorpusSource,
     config: &FragDroidConfig,
-    workers: usize,
-    trace_config: &fd_trace::TraceConfig,
-    base: &crate::checkpoint::CheckpointOptions,
-    flake_retries: usize,
+    options: &SuiteOptions<'_>,
     shards: usize,
     index: usize,
-    pool: Option<&crate::pool::DevicePool>,
-) -> Result<(crate::checkpoint::CheckpointedSuite, fd_trace::Trace), ShardError> {
+) -> Result<(CheckpointedSuite, fd_trace::Trace), ShardError> {
     let slice = ShardSlice::new(source, shards, index)?;
-    let journal = crate::checkpoint::CheckpointOptions {
-        path: shard_journal_path(&base.path, index, shards),
-        ..base.clone()
-    };
-    let options = crate::suite::SuiteOptions {
-        workers,
-        trace: *trace_config,
-        pool,
-        checkpoint: Some(&journal),
-        flake_retries,
-    };
+    let base = options.checkpoint.ok_or(ShardError::NoCheckpoint { shard: index })?;
+    let journal =
+        CheckpointOptions { path: shard_journal_path(&base.path, index, shards), ..base.clone() };
+    let options = SuiteOptions { checkpoint: Some(&journal), ..*options };
     crate::suite::run(SuiteSource::Corpus(&slice), config, &options)
         .map_err(|error| ShardError::Journal { shard: index, error })
 }
@@ -417,5 +417,13 @@ mod tests {
         let mut local = "container[2]".to_string();
         relabel(&mut local, 2, 12);
         assert_eq!(local, "container[12]");
+    }
+
+    #[test]
+    fn a_shard_without_a_checkpoint_is_a_typed_error() {
+        let containers: Vec<SuiteContainer> = Vec::new();
+        let config = FragDroidConfig::default();
+        let refused = run_shard(&containers, &config, &SuiteOptions::default(), 2, 1);
+        assert_eq!(refused.err(), Some(ShardError::NoCheckpoint { shard: 1 }));
     }
 }

@@ -157,7 +157,6 @@ mod kill_schedules_and_resume {
             options.shards = shards;
             options.journal = Some(journal.clone());
             options.chaos = Some(ChaosConfig::from_seed(chaos_seed));
-            options.heartbeat_interval = Duration::from_millis(50);
             options.quarantine_after = 1;
             options.quarantine_backoff = Duration::from_millis(100);
             options.job_deadline = Duration::from_secs(10);

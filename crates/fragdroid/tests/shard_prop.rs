@@ -8,7 +8,7 @@
 use fragdroid::suite::SuiteContainer;
 use fragdroid::{
     merge_shards, run_corpus_suite_checkpointed, run_shard, shard_journal_path, CheckpointOptions,
-    CorpusSource, FragDroidConfig, ShardError, SuiteRun,
+    CorpusSource, FragDroidConfig, ShardError, SuiteOptions, SuiteRun,
 };
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -58,6 +58,11 @@ fn reference_run(source: &dyn CorpusSource, config: &FragDroidConfig) -> SuiteRu
     suite.run
 }
 
+/// Two workers, no tracing, journaling under `base`.
+fn shard_options(base: &CheckpointOptions) -> SuiteOptions<'_> {
+    SuiteOptions { workers: 2, checkpoint: Some(base), ..SuiteOptions::default() }
+}
+
 fn run_all_shards(
     source: &dyn CorpusSource,
     config: &FragDroidConfig,
@@ -66,7 +71,7 @@ fn run_all_shards(
 ) {
     for index in 0..shards {
         let opts = CheckpointOptions::new(base);
-        run_shard(source, config, 2, &fd_trace::TraceConfig::off(), &opts, 0, shards, index, None)
+        run_shard(source, config, &shard_options(&opts), shards, index)
             .unwrap_or_else(|e| panic!("shard {index}/{shards} failed: {e}"));
     }
 }
@@ -144,18 +149,8 @@ mod kill_and_resume {
             } else {
                 CheckpointOptions::new(&base)
             };
-            run_shard(
-                &containers,
-                &config,
-                2,
-                &fd_trace::TraceConfig::off(),
-                &opts,
-                0,
-                shards,
-                index,
-                None,
-            )
-            .expect("budgeted shard still journals cleanly");
+            run_shard(&containers, &config, &shard_options(&opts), shards, index)
+                .expect("budgeted shard still journals cleanly");
         }
 
         match merge_shards(&containers, &config, 0, &base, shards, &fd_trace::TraceConfig::off()) {
@@ -168,18 +163,8 @@ mod kill_and_resume {
 
         // Resume only the killed shard, from its own journal.
         let resume = CheckpointOptions::new(&base).with_resume(true);
-        let (resumed, _) = run_shard(
-            &containers,
-            &config,
-            2,
-            &fd_trace::TraceConfig::off(),
-            &resume,
-            0,
-            shards,
-            2,
-            None,
-        )
-        .expect("killed shard resumes from its checkpoint");
+        let (resumed, _) = run_shard(&containers, &config, &shard_options(&resume), shards, 2)
+            .expect("killed shard resumes from its checkpoint");
         assert!(resumed.is_complete());
         assert!(resumed.resumed > 0, "the resume replayed the journaled app");
 
